@@ -3,7 +3,9 @@
 The target photon lives on 2 or 3 spatial branches.  One gate segment is a
 weak beam splitter (rotation by a small angle) combined with an absorber
 that damps the branch shared with the control photon by exp(-xi).  The
-whole gate is the N-th matrix power of the segment.  Two-photon absorption
+whole gate is the N-th matrix power of the segment.  Both the angle and the
+decay are real, so the segment and its powers are built in real arithmetic,
+for one decay or for a whole array of them at once.  Two-photon absorption
 (control photon present, decay exponent xi_2gamma) freezes the target in
 its input branch via the Zeno effect; without the control photon
 (xi_1gamma) the target is meant to tunnel to the opposite branch.
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import mat_power
+from .numerics import golden_minimize, mat_power
 
 SQRT2 = math.sqrt(2.0)
 
@@ -64,7 +66,7 @@ class AbsorberRates:
 
     def __post_init__(self):
         for name in ("one_photon", "two_photon", "control"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:  # also rejects NaN
                 raise ValueError(f"{name} decay exponent must be >= 0")
 
     @property
@@ -83,27 +85,38 @@ class PhotonState:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def segment_matrix(geometry: GateGeometry, decay: float) -> np.ndarray:
+def segment_matrix(geometry: GateGeometry, decay) -> np.ndarray:
     """One absorber-plus-beam-splitter segment acting on the branch amplitudes.
 
     `decay` is the amplitude decay exponent xi of the absorber branch; +inf is
-    accepted and maps to transmission exp(-xi) = 0 exactly.
+    accepted and maps to transmission exp(-xi) = 0 exactly.  A scalar decay
+    gives one real (k, k) matrix, a 1-D array of B decays a (B, k, k) stack.
     """
-    if decay < 0.0:
+    xi = np.asarray(decay, dtype=float)
+    if xi.ndim > 1:
+        raise ValueError("decay must be a scalar or a 1-D array")
+    x = xi.tolist()  # a float, or a list of floats
+    if not (xi.min(initial=math.inf) if xi.ndim else x) >= 0.0:  # NaN fails too
         raise ValueError("decay exponent must be >= 0")
-    e = math.exp(-decay)  # exp(-inf) == 0.0, no overflow involved
+    # math.exp also for arrays: np.exp differs from it in the last bit for
+    # some inputs, N segments amplify that N-fold, and a batch must agree
+    # with single calls.  exp(-inf) == 0.0, no overflow involved.
+    e = np.array([math.exp(-v) for v in x]) if xi.ndim else math.exp(-x)
     c, s = math.cos(geometry.angle), math.sin(geometry.angle)
     if geometry.branches == 2:
-        return np.array([[c, s], [-e * s, e * c]], dtype=complex)
-    # lower splitter, absorber on the middle branch, upper splitter
-    b_top = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]], dtype=complex)
-    b_bot = np.array([[1, 0, 0], [0, c, -s], [0, s, c]], dtype=complex)
-    damp = np.diag([1.0, e, 1.0]).astype(complex)
-    return b_bot @ damp @ b_top
+        entries = (c, s, -e * s, e * c)
+    else:
+        # lower splitter, absorber on the middle branch, upper splitter:
+        # [[1,0,0],[0,c,-s],[0,s,c]] @ diag(1,e,1) @ [[c,-s,0],[s,c,0],[0,0,1]]
+        ce, se = c * e, s * e
+        entries = (c, -s, 0.0, ce * s, ce * c, -s, se * s, se * c, c)
+    m = np.stack(np.broadcast_arrays(*entries), axis=-1) if xi.ndim else np.array(entries)
+    k = geometry.branches
+    return m.reshape(xi.shape + (k, k))
 
 
-def gate_matrix(geometry: GateGeometry, decay: float) -> np.ndarray:
-    """Full N-segment transfer matrix."""
+def gate_matrix(geometry: GateGeometry, decay) -> np.ndarray:
+    """Full N-segment transfer matrix, or a stack of them for a 1-D decay array."""
     return mat_power(segment_matrix(geometry, decay), geometry.segments)
 
 
@@ -143,21 +156,35 @@ def exact_errors(
     matrix-power entries read with reversed indices, making the mirror
     symmetry hold bit-exactly.
     """
-    m1 = gate_matrix(geometry, rates.one_photon)
-    m2 = gate_matrix(geometry, rates.two_photon)
     if geometry.branches == 2:
         if input_branch != 0:
             raise ValueError("two-branch gate input is the upper branch")
-        amp1, amp2 = m1[1, 0], m2[0, 0]
-    elif input_branch == 0:
-        amp1, amp2 = m1[2, 0], m2[0, 0]
-    elif input_branch == 2:
-        amp1, amp2 = m1[2, 0], m2[0, 0]  # reversal maps (0,2)->(2,0), (2,2)->(0,0)
-    else:
+    elif input_branch not in (0, 2):
         raise ValueError("input_branch must be 0 (top) or 2 (bottom)")
-    p1 = 1.0 - abs(amp1) ** 2
-    p2 = 1.0 - abs(amp2) ** 2
+    m1 = gate_matrix(geometry, rates.one_photon)
+    m2 = gate_matrix(geometry, rates.two_photon)
+    # the matrices are real, so |amplitude|^2 is a plain square; the target
+    # should leave on the last branch.  For input_branch 2 the reversal maps
+    # (0,2)->(2,0) and (2,2)->(0,0), so the same entries are read.
+    p1 = 1.0 - m1[geometry.branches - 1, 0] ** 2
+    p2 = 1.0 - m2[0, 0] ** 2
     return p1, p2
+
+
+def exact_errors_batch(geometry: GateGeometry, one_photon, two_photon) -> tuple[np.ndarray, np.ndarray]:
+    """Exact P_error_1gamma and P_error_2gamma for arrays of decay exponents.
+
+    Element i equals exact_errors(geometry, AbsorberRates(one_photon[i],
+    two_photon[i])) to float rounding: the same segment entries, powered as
+    two (B, k, k) stacks.  A negative or NaN exponent raises ValueError.
+    """
+    x1 = np.asarray(one_photon, dtype=float)
+    x2 = np.asarray(two_photon, dtype=float)
+    if x1.ndim != 1 or x1.shape != x2.shape:
+        raise ValueError("decay exponents must be 1-D arrays of equal length")
+    m1 = gate_matrix(geometry, x1)
+    m2 = gate_matrix(geometry, x2)
+    return 1.0 - m1[:, geometry.branches - 1, 0] ** 2, 1.0 - m2[:, 0, 0] ** 2
 
 
 @dataclass(frozen=True)
@@ -273,8 +300,8 @@ def optimal_rates(kappa: float, segments: int, branches: int = 3) -> tuple[Absor
     xi_2gamma = kappa*xi_1gamma for two branches (sqrt(2)*pi/(sqrt(kappa)*N)
     for three), with overall error pi/sqrt(2*kappa).
     """
-    if kappa <= 0.0:
-        raise ValueError("kappa must be positive")
+    if not 0.0 < kappa < math.inf:  # also rejects NaN
+        raise ValueError("kappa must be positive and finite")
     if branches == 2:
         x1 = math.pi / (math.sqrt(kappa) * SQRT2 * segments)
     elif branches == 3:
@@ -349,25 +376,6 @@ def zeno_demo_survival(segments: int) -> float:
     return math.cos(math.pi / (2.0 * segments)) ** (2 * segments)
 
 
-def _golden_minimize(f, lo: float, hi: float, tol: float) -> float:
-    """Golden-section minimum of a unimodal scalar function on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def optimal_angle(branches: int, segments: int, one_photon_rate: float) -> float:
     """Numerically re-optimized beam-splitter angle at non-zero one-photon loss.
 
@@ -382,4 +390,4 @@ def optimal_angle(branches: int, segments: int, one_photon_rate: float) -> float
         rates = AbsorberRates(one_photon=one_photon_rate, two_photon=one_photon_rate)
         return exact_errors(geom, rates)[0]
 
-    return _golden_minimize(p1_of, 0.5 * nominal, min(1.5 * nominal, math.pi - 1e-9), 1e-10 * nominal)
+    return golden_minimize(p1_of, 0.5 * nominal, min(1.5 * nominal, math.pi - 1e-9), 1e-10 * nominal)

@@ -1,4 +1,5 @@
-"""Small complex-matrix algebra, physical constants and unit conversions.
+"""Small real/complex matrix algebra, physical constants, unit conversions
+and a golden-section minimizer.
 
 Everything downstream works in natural units (hbar = c = eps0 = 1) with the
 electron-volt as the base scale: energies and angular frequencies in eV,
@@ -13,6 +14,7 @@ cross-check holds: 1e14 1/s corresponds to hbar*omega ~ 0.0658 eV, i.e.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,30 +164,57 @@ CONSTANTS = PhysicalConstants()
 
 
 def _check_matrix(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 3):
-        raise ValueError("expected a square 2x2 or 3x3 complex matrix")
+    m = np.asarray(m)
+    if m.dtype.kind not in "fc":
+        m = m.astype(float)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or m.shape[-1] not in (2, 3):
+        raise ValueError("expected a 2x2 or 3x3 matrix, or a (B, k, k) stack of them")
     return m
 
 
 def mat_power(m: np.ndarray, n: int) -> np.ndarray:
-    """m**n for a 2x2 or 3x3 complex matrix, by binary exponentiation.
+    """m**n for a 2x2 or 3x3 matrix, or for every matrix of a (B, k, k) stack.
 
-    n = 0 returns the identity; n must not be negative.
+    Binary exponentiation that starts from the lowest set bit of n, so no
+    identity factor enters.  The dtype of m is kept: real stays real.  n = 0
+    returns the identity; n must not be negative.
     """
     m = _check_matrix(m)
     if n < 0:
         raise ValueError("negative matrix powers are not supported")
-    result = np.eye(m.shape[0], dtype=complex)
-    base = m.copy()
     k = int(n)
-    while k:
+    if k == 0:
+        return np.broadcast_to(np.eye(m.shape[-1], dtype=m.dtype), m.shape).copy()
+    # ndarray.dot has a fraction of matmul's call overhead on one small
+    # matrix; on a stack it would contract across matrices, so use matmul
+    mul = np.matmul if m.ndim == 3 else np.ndarray.dot
+    base, result = m, None
+    while True:
         if k & 1:
-            result = result @ base
+            result = base if result is None else mul(result, base)
         k >>= 1
-        if k:
-            base = base @ base
-    return result
+        if not k:
+            return m.copy() if result is m else result
+        base = mul(base, base)
+
+
+def golden_minimize(f, lo: float, hi: float, tol: float) -> float:
+    """Golden-section minimum of a unimodal scalar function on [lo, hi]."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
 
 
 def rotation2(angle: float) -> np.ndarray:

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import absorber, gate
+from .numerics import golden_minimize
 
 SQRT2 = math.sqrt(2.0)
 
@@ -69,7 +70,7 @@ def minimized_max_error(segments: int, kappa: float, config: SearchConfig = Sear
     def objective(log_scale):
         return exact_max_error(segments, kappa, math.exp(log_scale))
 
-    log_best = gate._golden_minimize(objective, math.log(1e-3), math.log(1e3), config.scale_tol)
+    log_best = golden_minimize(objective, math.log(1e-3), math.log(1e3), config.scale_tol)
     return objective(log_best), math.exp(log_best)
 
 
@@ -81,7 +82,7 @@ def _leading_min_error(segments: int, kappa: float, config: SearchConfig) -> flo
         p2 = math.pi**2 / (segments * kappa * x1)
         return max(p1, p2)
 
-    log_best = gate._golden_minimize(
+    log_best = golden_minimize(
         objective, math.log(1e-12), math.log(10.0), config.scale_tol
     )
     return objective(log_best)
@@ -314,16 +315,18 @@ def error_curve(
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
+    if not kappa > 0.0:  # also rejects NaN
+        raise ValueError("kappa must be positive")
     geom = gate.GateGeometry(branches, segments)
+    xi2 = [xi2_max * i / (samples - 1) for i in range(samples)]
+    xi1 = [x2 / kappa for x2 in xi2]
+    p1, p2 = gate.exact_errors_batch(geom, xi1, xi2)
     out = []
-    for i in range(samples):
-        x2 = xi2_max * i / (samples - 1)
-        x1 = x2 / kappa
+    for i, (x1, x2) in enumerate(zip(xi1, xi2)):
         rates = gate.AbsorberRates(one_photon=x1, two_photon=x2)
-        p1, p2 = gate.exact_errors(geom, rates)
         a1, a2 = gate.asymptotic_errors(geom, rates, order="leading")
         a2 = min(1.0, a2) if x2 > 0.0 else 1.0
-        out.append(CurvePoint(x2, p1, p2, min(1.0, a1), a2))
+        out.append(CurvePoint(x2, p1[i], p2[i], min(1.0, a1), a2))
     return out
 
 

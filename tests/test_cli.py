@@ -81,6 +81,20 @@ class TestCurveCommand:
         assert float(rows[-1]["xi_2gamma"]) == pytest.approx(0.14, rel=1e-12)
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("argv, word", [
+        (("gate", "--N", "100", "--kappa", "nan"), "kappa"),
+        (("gate", "--N", "100", "--kappa", "inf"), "kappa"),
+        (("gate", "--N", "100", "--xi1", "nan", "--xi2", "1"), "one_photon"),
+        (("curve", "--kappa", "nan"), "kappa"),
+    ])
+    def test_rejected_with_exit_code_2(self, capsys, argv, word):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and word in err
+
+
 class TestDesignCommand:
     def test_three_strategies(self, capsys):
         code, out, _ = run_cli(capsys, "design", "--p-target", "0.5",

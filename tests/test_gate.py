@@ -60,8 +60,21 @@ class TestSegmentMatrix:
         assert np.max(np.abs(m - bot @ damp @ top)) < 1e-14
 
     def test_negative_decay_rejected(self):
-        with pytest.raises(ValueError):
-            segment_matrix(GateGeometry(2, 10), -0.1)
+        for bad in (-0.1, math.nan, [0.1, math.nan], [0.2, -1e-300], [[0.1]]):
+            with pytest.raises(ValueError):
+                segment_matrix(GateGeometry(2, 10), bad)
+
+    def test_decay_array_gives_real_stack_of_scalar_segments(self):
+        decays = [0.0, 0.37, 2.5, math.inf]
+        for branches in (2, 3):
+            geom = GateGeometry(branches, 8)
+            stack = segment_matrix(geom, np.array(decays))
+            assert stack.shape == (4, branches, branches)
+            assert stack.dtype == np.float64
+            for b, xi in enumerate(decays):
+                single = segment_matrix(geom, xi)
+                assert single.dtype == np.float64
+                assert np.array_equal(stack[b], single)
 
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
@@ -185,11 +198,24 @@ class TestExactErrors:
         assert abs(p1 - p2) < 5e-3
 
     def test_mirror_symmetry_is_bit_exact(self):
-        geom = GateGeometry(3, 17)
+        for n in (1, 17, 1000):
+            geom = GateGeometry(3, n)
+            for rates in (AbsorberRates(0.02, 1.3), AbsorberRates(0.0, math.inf)):
+                assert exact_errors(geom, rates, input_branch=0) == exact_errors(
+                    geom, rates, input_branch=2
+                )
+
+    def test_input_branch_validation(self):
         rates = AbsorberRates(0.02, 1.3)
-        assert exact_errors(geom, rates, input_branch=0) == exact_errors(
-            geom, rates, input_branch=2
-        )
+        with pytest.raises(ValueError):
+            exact_errors(GateGeometry(2, 10), rates, input_branch=2)
+        with pytest.raises(ValueError):
+            exact_errors(GateGeometry(3, 10), rates, input_branch=1)
+
+    def test_nan_rates_rejected(self):
+        for args in ((math.nan, 1.0), (0.1, math.nan), (0.1, 1.0, math.nan)):
+            with pytest.raises(ValueError):
+                AbsorberRates(*args)
 
     def test_mirrored_segment_oracle(self):
         # powering the explicitly mirrored segment (reversed branch labels,
@@ -215,6 +241,64 @@ class TestExactErrors:
             p2s.append(p2)
         assert np.all(np.diff(p1s) > 0)
         assert np.all(np.diff(p2s) < 0)
+
+
+def mpmath_errors(branches, segments, one_photon, two_photon):
+    """(P1, P2) from a 50-digit mpmath power of the segment matrix."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    with mp.workdps(50):
+        if branches == 2:
+            angle = mp.pi / (2 * segments)
+        else:
+            angle = mp.pi / (mp.sqrt(2) * segments)
+        c, s = mp.cos(angle), mp.sin(angle)
+
+        def power(decay):
+            e = mp.exp(-mpmath.mpf(decay))
+            if branches == 2:
+                seg = mpmath.matrix([[c, s], [-e * s, e * c]])
+            else:
+                top = mpmath.matrix([[c, -s, 0], [s, c, 0], [0, 0, 1]])
+                bottom = mpmath.matrix([[1, 0, 0], [0, c, -s], [0, s, c]])
+                seg = bottom * mpmath.diag([1, e, 1]) * top
+            return seg**segments
+
+        p1 = 1 - power(one_photon)[branches - 1, 0] ** 2
+        p2 = 1 - power(two_photon)[0, 0] ** 2
+        return float(p1), float(p2)
+
+
+class TestExactErrorsBatch:
+    DECAYS = np.array([0.0, 1e-6, 0.01, 0.14, 1.0, 10.0, math.inf])
+
+    def test_matches_scalar_errors(self):
+        for branches in (2, 3):
+            for n in (1, 2, 10, 1000, 100_000):
+                geom = GateGeometry(branches, n)
+                for kappa in (1.0, 300.0):
+                    x1, x2 = self.DECAYS / kappa, self.DECAYS
+                    p1, p2 = gate.exact_errors_batch(geom, x1, x2)
+                    assert p1.shape == p2.shape == (len(x2),)
+                    for i in range(len(x2)):
+                        s1, s2 = exact_errors(geom, AbsorberRates(x1[i], x2[i]))
+                        assert abs(p1[i] - s1) <= 1e-12
+                        assert abs(p2[i] - s2) <= 1e-12
+
+    def test_matches_50_digit_reference(self):
+        for branches, n, x1, x2 in ((2, 1000, 7e-5, 0.07), (3, 50, 1e-3, 1.4),
+                                    (3, 100_000, 1e-7, 3e-3), (2, 10, 0.0, 0.5)):
+            p1, p2 = gate.exact_errors_batch(GateGeometry(branches, n), [x1], [x2])
+            r1, r2 = mpmath_errors(branches, n, x1, x2)
+            assert abs(p1[0] - r1) <= 1e-9
+            assert abs(p2[0] - r2) <= 1e-9
+
+    def test_rejects_bad_arrays(self):
+        geom = GateGeometry(3, 10)
+        for x1, x2 in (([0.1, math.nan], [1.0, 1.0]), ([0.1], [-1.0]),
+                       ([0.1, 0.2], [1.0]), (0.1, 1.0)):
+            with pytest.raises(ValueError):
+                gate.exact_errors_batch(geom, x1, x2)
 
 
 class TestAsymptotics:
@@ -280,8 +364,9 @@ class TestOptimalRates:
         assert required_kappa(0.1) == pytest.approx(493.48, abs=0.01)
 
     def test_kappa_must_be_positive(self):
-        with pytest.raises(ValueError):
-            optimal_rates(0.0, 10)
+        for kappa in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                optimal_rates(kappa, 10)
 
     def test_reoptimized_angle_stays_at_lossless_default(self):
         n = 100

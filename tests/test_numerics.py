@@ -13,6 +13,7 @@ from zenogate.numerics import (
     Quantity,
     UnitError,
     convert,
+    golden_minimize,
     mat_power,
     rotation2,
 )
@@ -55,6 +56,41 @@ class TestMatPower:
             mat_power(np.eye(2), -1)
         with pytest.raises(ValueError):
             mat_power(np.eye(4), 2)
+        with pytest.raises(ValueError):
+            mat_power(np.zeros((5, 4, 4)), 2)
+        with pytest.raises(ValueError):
+            mat_power(np.zeros((2, 5, 3, 3)), 2)
+
+    def test_stack_equals_power_of_each_slice(self):
+        rng = np.random.default_rng(9)
+        for k in (2, 3):
+            stack = rng.uniform(-1, 1, size=(6, k, k))
+            stack /= np.linalg.norm(stack, 2, axis=(1, 2))[:, None, None]
+            for n in (0, 1, 2, 7, 33, 1000):
+                got = mat_power(stack, n)
+                assert got.shape == stack.shape
+                for b in range(len(stack)):
+                    assert np.max(np.abs(got[b] - mat_power(stack[b], n))) < 1e-14
+
+    def test_dtype_is_kept(self):
+        real = np.array([[0.6, 0.8], [-0.8, 0.6]])
+        for n in (0, 1, 5):
+            assert mat_power(real, n).dtype == np.float64
+            assert mat_power(np.stack([real, real]), n).dtype == np.float64
+            assert mat_power(real + 0j, n).dtype == np.complex128
+        assert mat_power(np.array([[1, 1], [0, 1]]), 3).dtype == np.float64
+
+    def test_result_never_aliases_the_input(self):
+        m = np.array([[0.6, 0.8], [-0.8, 0.6]])
+        out = mat_power(m, 1)
+        out[0, 0] = 9.0
+        assert m[0, 0] == 0.6
+
+
+class TestGoldenMinimize:
+    def test_parabola_minimum(self):
+        best = golden_minimize(lambda x: (x - 0.3) ** 2, -1.0, 2.0, 1e-10)
+        assert best == pytest.approx(0.3, abs=1e-9)
 
 
 class TestConstants:

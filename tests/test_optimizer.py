@@ -158,6 +158,19 @@ class TestErrorCurve:
         assert x2 == pytest.approx(0.0700, abs=1e-3)
         assert height == pytest.approx(0.0672, abs=1e-3)  # frozen from this model
 
+    def test_points_match_scalar_exact_errors(self):
+        geom = gate.GateGeometry(3, 200)
+        for pt in error_curve(500.0, 200, 0.5, 9, branches=3):
+            rates = gate.AbsorberRates(pt.xi_2gamma / 500.0, pt.xi_2gamma)
+            p1, p2 = gate.exact_errors(geom, rates)
+            assert abs(pt.p1_exact - p1) <= 1e-12
+            assert abs(pt.p2_exact - p2) <= 1e-12
+
+    def test_kappa_must_be_positive(self):
+        for kappa in (0.0, -5.0, math.nan):
+            with pytest.raises(ValueError):
+                error_curve(kappa, 100)
+
     def test_columns_are_probabilities(self):
         for pt in error_curve(1000.0, 1000, samples=15):
             for value in (pt.p1_exact, pt.p2_exact, pt.p1_approx, pt.p2_approx):
