@@ -127,9 +127,10 @@ def _coerce(command: str, name: str, value, unit: str | None):
     if spec.kind == "int":
         if unit not in (None, "", "dimensionless"):
             raise CliError(f"parameter {name!r} expects a dimensionless integer, got unit {unit!r}")
-        if float(value) != int(float(value)):
+        number = float(value)
+        if not math.isfinite(number) or number != int(number):
             raise CliError(f"parameter {name!r} must be an integer")
-        return int(float(value))
+        return int(number)
     # numeric quantity
     if unit is None:
         unit = spec.cli_unit or ""
@@ -140,7 +141,11 @@ def _coerce(command: str, name: str, value, unit: str | None):
     if kind != spec.kind:
         raise CliError(f"parameter {name!r} expects kind {spec.kind!r}, got {kind!r} ({unit!r})")
     target = spec.natural_unit or unit
-    return convert(Quantity(float(value), unit), target).value
+    number = convert(Quantity(float(value), unit), target).value
+    # a wavelength of 0 has no frequency; NaN or inf lengths give no atom
+    if kind == "length" and not 0.0 < number < math.inf:
+        raise CliError(f"parameter {name!r} must be a positive finite length")
+    return number
 
 
 def _effective_parameters(command: str, raw: dict) -> dict:

@@ -85,13 +85,8 @@ class PhotonState:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def segment_matrix(geometry: GateGeometry, decay) -> np.ndarray:
-    """One absorber-plus-beam-splitter segment acting on the branch amplitudes.
-
-    `decay` is the amplitude decay exponent xi of the absorber branch; +inf is
-    accepted and maps to transmission exp(-xi) = 0 exactly.  A scalar decay
-    gives one real (k, k) matrix, a 1-D array of B decays a (B, k, k) stack.
-    """
+def _transmission(decay):
+    """exp(-xi) of a scalar decay exponent, or the array of them for a 1-D array."""
     xi = np.asarray(decay, dtype=float)
     if xi.ndim > 1:
         raise ValueError("decay must be a scalar or a 1-D array")
@@ -101,18 +96,39 @@ def segment_matrix(geometry: GateGeometry, decay) -> np.ndarray:
     # math.exp also for arrays: np.exp differs from it in the last bit for
     # some inputs, N segments amplify that N-fold, and a batch must agree
     # with single calls.  exp(-inf) == 0.0, no overflow involved.
-    e = np.array([math.exp(-v) for v in x]) if xi.ndim else math.exp(-x)
-    c, s = math.cos(geometry.angle), math.sin(geometry.angle)
-    if geometry.branches == 2:
+    return np.array([math.exp(-v) for v in x]) if xi.ndim else math.exp(-x)
+
+
+def _segments(branches: int, c, s, e) -> np.ndarray:
+    """Segment matrix for angle cosine c, sine s and transmission e.
+
+    Floats give one (k, k) matrix.  An array e gives a (B, k, k) stack; c and
+    s are then floats or arrays of the same length.
+    """
+    if branches == 2:
         entries = (c, s, -e * s, e * c)
     else:
         # lower splitter, absorber on the middle branch, upper splitter:
         # [[1,0,0],[0,c,-s],[0,s,c]] @ diag(1,e,1) @ [[c,-s,0],[s,c,0],[0,0,1]]
         ce, se = c * e, s * e
         entries = (c, -s, 0.0, ce * s, ce * c, -s, se * s, se * c, c)
-    m = np.stack(np.broadcast_arrays(*entries), axis=-1) if xi.ndim else np.array(entries)
-    k = geometry.branches
-    return m.reshape(xi.shape + (k, k))
+    if isinstance(e, float):
+        return np.array(entries).reshape(branches, branches)
+    m = np.empty((len(e), len(entries)))
+    for j, entry in enumerate(entries):
+        m[:, j] = entry
+    return m.reshape(len(e), branches, branches)
+
+
+def segment_matrix(geometry: GateGeometry, decay) -> np.ndarray:
+    """One absorber-plus-beam-splitter segment acting on the branch amplitudes.
+
+    `decay` is the amplitude decay exponent xi of the absorber branch; +inf is
+    accepted and maps to transmission exp(-xi) = 0 exactly.  A scalar decay
+    gives one real (k, k) matrix, a 1-D array of B decays a (B, k, k) stack.
+    """
+    c, s = math.cos(geometry.angle), math.sin(geometry.angle)
+    return _segments(geometry.branches, c, s, _transmission(decay))
 
 
 def gate_matrix(geometry: GateGeometry, decay) -> np.ndarray:
@@ -171,20 +187,40 @@ def exact_errors(
     return p1, p2
 
 
-def exact_errors_batch(geometry: GateGeometry, one_photon, two_photon) -> tuple[np.ndarray, np.ndarray]:
+def exact_errors_batch(geometry, one_photon, two_photon) -> tuple[np.ndarray, np.ndarray]:
     """Exact P_error_1gamma and P_error_2gamma for arrays of decay exponents.
 
-    Element i equals exact_errors(geometry, AbsorberRates(one_photon[i],
-    two_photon[i])) to float rounding: the same segment entries, powered as
-    two (B, k, k) stacks.  A negative or NaN exponent raises ValueError.
+    `geometry` is one GateGeometry for every element, or a sequence of them
+    with one branch count, one per element, so that each element has its own
+    N and angle.  Element i equals exact_errors(geometry[i], AbsorberRates(
+    one_photon[i], two_photon[i])) bit for bit: the same segment entries,
+    powered with the same products.  A negative or NaN exponent, or an empty
+    array, raises ValueError.
     """
     x1 = np.asarray(one_photon, dtype=float)
     x2 = np.asarray(two_photon, dtype=float)
     if x1.ndim != 1 or x1.shape != x2.shape:
         raise ValueError("decay exponents must be 1-D arrays of equal length")
-    m1 = gate_matrix(geometry, x1)
-    m2 = gate_matrix(geometry, x2)
-    return 1.0 - m1[:, geometry.branches - 1, 0] ** 2, 1.0 - m2[:, 0, 0] ** 2
+    b = len(x1)
+    if not b:
+        raise ValueError("decay exponents must not be empty")
+    if isinstance(geometry, GateGeometry):
+        # every element has the same N and angle: one cosine and sine
+        k, c, s = geometry.branches, math.cos(geometry.angle), math.sin(geometry.angle)
+        top, each = geometry.segments, None
+    else:
+        geoms = list(geometry)
+        if len(geoms) != b or any(g.branches != geoms[0].branches for g in geoms):
+            raise ValueError("give one geometry per element, all with the same branch count")
+        k = geoms[0].branches
+        c = [math.cos(g.angle) for g in geoms]
+        s = [math.sin(g.angle) for g in geoms]
+        n = [g.segments for g in geoms]
+        c, s, top, each = np.array(c + c), np.array(s + s), max(n), n + n
+    # P1 and P2 as one (2B, k, k) stack
+    e = _transmission(np.concatenate((x1, x2)))
+    m = mat_power(_segments(k, c, s, e), top, each)
+    return 1.0 - m[:b, k - 1, 0] ** 2, 1.0 - m[b:, 0, 0] ** 2
 
 
 @dataclass(frozen=True)

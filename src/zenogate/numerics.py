@@ -172,49 +172,114 @@ def _check_matrix(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def mat_power(m: np.ndarray, n: int) -> np.ndarray:
+def mat_power(m: np.ndarray, n: int, exponents=None) -> np.ndarray:
     """m**n for a 2x2 or 3x3 matrix, or for every matrix of a (B, k, k) stack.
 
     Binary exponentiation that starts from the lowest set bit of n, so no
     identity factor enters.  The dtype of m is kept: real stays real.  n = 0
     returns the identity; n must not be negative.
+
+    For a stack, `exponents` may give each matrix its own power, an integer
+    in [0, n]; by default every matrix gets n.  The squarings up to n are
+    shared, and at each bit only the matrices whose exponent has that bit are
+    multiplied in.  Every matrix goes through the same products in the same
+    order as on its own, so slice b equals mat_power(m[b], exponents[b]) bit
+    for bit.  With exponents given, n is their largest value: the benchmark
+    tracer (benchmarks/tracing.py) counts a call's products from int(n).
     """
     m = _check_matrix(m)
     if n < 0:
         raise ValueError("negative matrix powers are not supported")
     k = int(n)
+    if exponents is not None:
+        ks = np.asarray(exponents)
+        if m.ndim != 3 or ks.shape != m.shape[:1] or ks.dtype.kind not in "iu":
+            raise ValueError("exponents must be one integer per matrix of a stack")
+        if ks.min(initial=0) < 0 or ks.max(initial=0) > k:
+            raise ValueError("exponents must lie in [0, n]")
+        return _power_each(m, k, ks)
+    if m.ndim == 3:
+        return _power_each(m, k, np.array([k]))
     if k == 0:
-        return np.broadcast_to(np.eye(m.shape[-1], dtype=m.dtype), m.shape).copy()
-    # ndarray.dot has a fraction of matmul's call overhead on one small
-    # matrix; on a stack it would contract across matrices, so use matmul
-    mul = np.matmul if m.ndim == 3 else np.ndarray.dot
+        return np.eye(m.shape[-1], dtype=m.dtype)
+    # ndarray.dot has a fraction of matmul's call overhead on one small matrix
     base, result = m, None
     while True:
         if k & 1:
-            result = base if result is None else mul(result, base)
+            result = base if result is None else result.dot(base)
         k >>= 1
         if not k:
             return m.copy() if result is m else result
-        base = mul(base, base)
+        base = base.dot(base)
 
 
-def golden_minimize(f, lo: float, hi: float, tol: float) -> float:
-    """Golden-section minimum of a unimodal scalar function on [lo, hi]."""
+def _power_each(m: np.ndarray, n: int, ks: np.ndarray) -> np.ndarray:
+    """Powers of a stack: ks holds one power in [0, n] per matrix, or one for all."""
+    # for every bit j (rows) and power (columns): does the matrix multiply
+    # m**(2**j) into its product (more), or does its product start there
+    # (first, its lowest set bit)?
+    j = np.arange(n.bit_length())[:, None]
+    take = (ks >> j) & 1 == 1
+    below = ks & ((1 << j) - 1) != 0
+
+    def per_bit(mask):
+        # None where no matrix has the bit, True where all do, else the mask
+        counts, mask = mask.sum(axis=1).tolist(), mask[:, :, None, None]
+        return [None if c == 0 else True if c == len(ks) else mask[i]
+                for i, c in enumerate(counts)]
+
+    more, first = per_bit(take & below), per_bit(take & ~below)
+    # slices with no bit set yet are overwritten, but the masked products run
+    # over them too: a copy of m, not np.empty garbage (subnormals slow matmul)
+    result, base = m.copy(), m
+    for bit in range(len(more)):
+        if bit:
+            base = np.matmul(base, base)
+        if more[bit] is True:
+            result = np.matmul(result, base)
+        elif more[bit] is not None:
+            np.copyto(result, np.matmul(result, base), where=more[bit])
+        if first[bit] is not None:
+            np.copyto(result, base, where=first[bit])
+    if ks.min(initial=1) == 0:
+        np.copyto(result, np.eye(m.shape[-1], dtype=m.dtype), where=(ks == 0)[:, None, None])
+    return result
+
+
+def golden_steps(lo: float, hi: float, tol: float):
+    """Golden-section search on [lo, hi] as a coroutine.
+
+    Yields each point to evaluate, is sent the objective there, and returns
+    the minimum's location once the bracket is narrower than tol.  Driving it
+    by hand lets a caller evaluate many searches side by side.
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
+    fc = yield c
+    fd = yield d
     while (b - a) > tol:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = f(c)
+            fc = yield c
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = f(d)
+            fd = yield d
     return 0.5 * (a + b)
+
+
+def golden_minimize(f, lo: float, hi: float, tol: float) -> float:
+    """Golden-section minimum of a unimodal scalar function on [lo, hi]."""
+    steps = golden_steps(lo, hi, tol)
+    x = next(steps)
+    while True:
+        try:
+            x = steps.send(f(x))
+        except StopIteration as done:
+            return done.value
 
 
 def rotation2(angle: float) -> np.ndarray:

@@ -87,6 +87,8 @@ class TestNonFiniteInput:
         (("gate", "--N", "100", "--kappa", "inf"), "kappa"),
         (("gate", "--N", "100", "--xi1", "nan", "--xi2", "1"), "one_photon"),
         (("curve", "--kappa", "nan"), "kappa"),
+        (("demo", "--N", "inf"), "N"),
+        (("absorber", "--wavelength", "0"), "wavelength"),
     ])
     def test_rejected_with_exit_code_2(self, capsys, argv, word):
         code, out, err = run_cli(capsys, *argv)
@@ -104,6 +106,18 @@ class TestDesignCommand:
         assert len(rows) == 3
         for row in rows:
             assert max(float(row["p1_exact"]), float(row["p2_exact"])) <= 0.5
+
+    @pytest.mark.parametrize("flags, word", [
+        (("--kappa-max", "0.9"), "kappa_max"),   # bisection starts at kappa = 1
+        (("--kappa-max", "nan"), "kappa_max"),
+        (("--n-max", "0"), "n_max"),
+        (("--n-max", "-3"), "n_max"),
+    ])
+    def test_bad_search_config_exit_code(self, capsys, flags, word):
+        code, out, err = run_cli(capsys, "design", "--p-target", "0.9", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and word in err
 
     def test_infeasible_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "design", "--p-target", "0.001",

@@ -280,10 +280,9 @@ class TestExactErrorsBatch:
                     x1, x2 = self.DECAYS / kappa, self.DECAYS
                     p1, p2 = gate.exact_errors_batch(geom, x1, x2)
                     assert p1.shape == p2.shape == (len(x2),)
+                    # the same segment entries and products: equal bit for bit
                     for i in range(len(x2)):
-                        s1, s2 = exact_errors(geom, AbsorberRates(x1[i], x2[i]))
-                        assert abs(p1[i] - s1) <= 1e-12
-                        assert abs(p2[i] - s2) <= 1e-12
+                        assert (p1[i], p2[i]) == exact_errors(geom, AbsorberRates(x1[i], x2[i]))
 
     def test_matches_50_digit_reference(self):
         for branches, n, x1, x2 in ((2, 1000, 7e-5, 0.07), (3, 50, 1e-3, 1.4),
@@ -293,12 +292,29 @@ class TestExactErrorsBatch:
             assert abs(p1[0] - r1) <= 1e-9
             assert abs(p2[0] - r2) <= 1e-9
 
+    def test_geometry_per_element_matches_scalar_bit_for_bit(self):
+        for branches in (2, 3):
+            geoms = [GateGeometry(branches, n) for n in (1, 2, 7, 16, 17, 400)]
+            geoms.append(GateGeometry(branches, 50, angle=0.05))
+            x2 = [0.0, 1e-6, 0.01, 0.14, 1.0, 10.0, math.inf]
+            x1 = [x / 300.0 for x in x2[::-1]]
+            p1, p2 = gate.exact_errors_batch(geoms, x1, x2)
+            for i, geom in enumerate(geoms):
+                assert (p1[i], p2[i]) == exact_errors(geom, AbsorberRates(x1[i], x2[i]))
+
     def test_rejects_bad_arrays(self):
         geom = GateGeometry(3, 10)
         for x1, x2 in (([0.1, math.nan], [1.0, 1.0]), ([0.1], [-1.0]),
-                       ([0.1, 0.2], [1.0]), (0.1, 1.0)):
+                       ([0.1, 0.2], [1.0]), (0.1, 1.0), ([], [])):
             with pytest.raises(ValueError):
                 gate.exact_errors_batch(geom, x1, x2)
+            with pytest.raises(ValueError):
+                gate.exact_errors_batch([geom, geom], x1, x2)
+        for geoms, x1, x2 in (([geom], [0.1, 0.2], [1.0, 2.0]),           # one too few
+                              ([geom, GateGeometry(2, 10)], [0.1, 0.2], [1.0, 2.0]),
+                              ([], [], [])):
+            with pytest.raises(ValueError):
+                gate.exact_errors_batch(geoms, x1, x2)
 
 
 class TestExactCrossing:

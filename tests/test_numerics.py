@@ -14,6 +14,7 @@ from zenogate.numerics import (
     UnitError,
     convert,
     golden_minimize,
+    golden_steps,
     mat_power,
     rotation2,
 )
@@ -60,6 +61,12 @@ class TestMatPower:
             mat_power(np.zeros((5, 4, 4)), 2)
         with pytest.raises(ValueError):
             mat_power(np.zeros((2, 5, 3, 3)), 2)
+        stack = np.zeros((3, 2, 2))
+        for n, each in ((5, [1, 2]), (5, [1, 2, 6]), (5, [1, -1, 2]), (5, [1.0, 2.0, 3.0])):
+            with pytest.raises(ValueError):
+                mat_power(stack, n, each)
+        with pytest.raises(ValueError):
+            mat_power(np.eye(2), 3, [3])
 
     def test_stack_equals_power_of_each_slice(self):
         rng = np.random.default_rng(9)
@@ -70,7 +77,15 @@ class TestMatPower:
                 got = mat_power(stack, n)
                 assert got.shape == stack.shape
                 for b in range(len(stack)):
-                    assert np.max(np.abs(got[b] - mat_power(stack[b], n))) < 1e-14
+                    assert np.array_equal(got[b], mat_power(stack[b], n))
+            # a power per matrix, with shared squarings up to n: the same
+            # products as on its own, so equal bit for bit
+            for n, each in ((1000, [0, 1, 2, 7, 33, 1000]), (40, [40, 39, 17, 16, 3, 0]),
+                            (64, [5, 5, 5, 5, 5, 5])):
+                got = mat_power(stack, n, each)
+                assert got.shape == stack.shape
+                for b in range(len(stack)):
+                    assert np.array_equal(got[b], mat_power(stack[b], each[b]))
 
     def test_dtype_is_kept(self):
         real = np.array([[0.6, 0.8], [-0.8, 0.6]])
@@ -91,6 +106,20 @@ class TestGoldenMinimize:
     def test_parabola_minimum(self):
         best = golden_minimize(lambda x: (x - 0.3) ** 2, -1.0, 2.0, 1e-10)
         assert best == pytest.approx(0.3, abs=1e-9)
+
+    def test_steps_driven_by_hand_match(self):
+        def f(x):
+            return abs(x - 0.7) + 0.1 * x * x
+
+        points = []
+        steps = golden_steps(0.0, 3.0, 1e-8)
+        x = next(steps)
+        with pytest.raises(StopIteration) as done:
+            while True:
+                points.append(x)
+                x = steps.send(f(x))
+        assert done.value.value == golden_minimize(f, 0.0, 3.0, 1e-8)
+        assert len(points) == len(set(points)) > 30
 
 
 class TestConstants:

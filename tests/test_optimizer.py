@@ -4,9 +4,10 @@ import math
 
 import pytest
 
-from zenogate import gate
+from zenogate import gate, optimizer
 from zenogate.absorber import optical_example
 from zenogate.optimizer import (
+    DesignPoint,
     InfeasibleDesignError,
     SearchConfig,
     design_point,
@@ -40,8 +41,17 @@ class TestMinKappa:
         assert got == pytest.approx(REFERENCE_KAPPA[(p, n)], rel=0.20)
 
     def test_kappa_is_nonincreasing_in_segments(self):
-        kappas = [min_kappa(n, 0.5) for n in (10, 20, 40, 80)]
-        assert all(a >= b for a, b in zip(kappas, kappas[1:]))
+        # every N <= 400: once feasible, every larger N is feasible too and
+        # kappa_min(N) never increases.  The 'min_kappa' strategy (N = n_max)
+        # and the upward scans of search_feasible_nk rely on this.
+        config = SearchConfig(n_max=400)
+        for p in (0.05, 0.1, 0.25, 0.5):
+            scan = optimizer._KappaScan(p, "exact", config)
+            feasible = [n for n in range(1, 401) if scan.feasible(n)]
+            assert feasible == list(range(feasible[0], 401))
+            kappas = [scan.kappa(n, 16) for n in feasible]
+            assert all(a >= b for a, b in zip(kappas, kappas[1:]))
+            assert kappas[0] <= config.kappa_max
 
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleDesignError):
@@ -51,6 +61,162 @@ class TestMinKappa:
         pinned = min_kappa(20, 0.25, "exact")
         free = min_kappa(20, 0.25, "exact_free")
         assert free <= pinned * (1 + 1e-3)
+
+
+class TestSearchConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("kappa_max", 0.9), ("kappa_max", math.inf), ("kappa_max", math.nan),
+        ("n_max", 0), ("n_max", -3),
+        ("kappa_tol", 0.0), ("kappa_tol", -1e-3), ("kappa_tol", math.nan),
+        ("scale_tol", 0.0), ("scale_tol", math.nan),
+    ])
+    def test_rejects_bad_fields(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SearchConfig(**{field: value})
+
+    def test_edges_are_accepted(self):
+        # kappa_max = 1 leaves the bisection no room: kappa is 1 or infeasible
+        config = SearchConfig(kappa_max=1.0, n_max=1)
+        assert min_kappa(10, 0.9, config=config) == 1.0
+
+
+# A plain per-N reference of the design search: one scalar exact_errors call
+# per evaluation, the bisection and golden-section loops written out.
+
+def ref_max_error(n, kappa, scale=None):
+    rates, _ = gate.optimal_rates(kappa, n, branches=3)
+    if scale is not None:
+        rates = gate.AbsorberRates(scale * rates.one_photon, scale * rates.two_photon)
+    return max(gate.exact_errors(gate.GateGeometry(3, n), rates))
+
+
+def ref_min_error(n, kappa, config):
+    def f(log_scale):
+        return ref_max_error(n, kappa, math.exp(log_scale))
+
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = math.log(1e-3), math.log(1e3)
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > config.scale_tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    best = 0.5 * (a + b)
+    return f(best), math.exp(best)
+
+
+def ref_min_kappa(n, p, model, config):
+    """Minimal kappa at N = n, or None where kappa_max does not reach p."""
+    def feasible(kappa):
+        if model == "exact":
+            return ref_max_error(n, kappa) <= p
+        return ref_min_error(n, kappa, config)[0] <= p
+
+    lo, hi = 1.0, config.kappa_max
+    if not feasible(hi):
+        return None
+    if feasible(lo):
+        return lo
+    while hi / lo > 1.0 + config.kappa_tol:
+        mid = math.sqrt(lo * hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def ref_search(p, strategy, model, config):
+    kappa = {}
+
+    def kappa_at(n):
+        if n not in kappa:
+            kappa[n] = ref_min_kappa(n, p, model, config)
+        return kappa[n]
+
+    n_min = next(n for n in range(1, config.n_max + 1) if kappa_at(n) is not None)
+    points = []
+    for strat in [strategy] if strategy else ["min_n", "balanced", "min_kappa"]:
+        n = {"min_n": n_min, "min_kappa": config.n_max}.get(strat)
+        if strat == "balanced":
+            best_cost, ups = math.inf, 0
+            scan = n_min
+            while scan <= config.n_max and ups < 8:
+                cost = scan * math.sqrt(kappa_at(scan))   # None: TypeError, test fails
+                if cost < best_cost:
+                    n, best_cost, ups = scan, cost, 0
+                else:
+                    ups += 1
+                scan += 1
+        k = kappa_at(n)
+        rates, _ = gate.optimal_rates(k, n, branches=3)
+        if model == "exact_free":
+            _, scale = ref_min_error(n, k, config)
+            rates = gate.AbsorberRates(scale * rates.one_photon, scale * rates.two_photon)
+        p1, p2 = gate.exact_errors(gate.GateGeometry(3, n), rates)
+        p2_seg, p1_seg = segment_probabilities(n, k)
+        points.append(DesignPoint(p, n, k, rates, p1, p2, p2_seg, p1_seg))
+    return points
+
+
+class TestLockstepSearch:
+    """The lockstep scans give bit for bit what one N at a time gives."""
+
+    @pytest.mark.parametrize("model, p, segments", [
+        ("exact", 0.3, [12, 13, 14, 15, 20, 37, 38, 39, 60]),   # N < 14: infeasible
+        ("exact", 0.9, [1, 2, 3, 6, 7]),          # N = 2 infeasible, N >= 6 at kappa = 1
+        ("exact_free", 0.3, [13, 14, 15, 16, 31]),
+        ("exact_free", 0.9, [1, 2, 3, 4]),        # kappa = 1 at N = 1 and 4
+    ])
+    def test_min_kappa_over_a_list_of_n(self, model, p, segments):
+        config = SearchConfig()
+        searches = [optimizer._kappa_steps(n, p, model, config) for n in segments]
+        got = optimizer._lockstep(searches)
+        outcomes = set()
+        for n, kappa in zip(segments, got):
+            try:
+                single = min_kappa(n, p, model, config)
+            except InfeasibleDesignError as exc:
+                assert isinstance(kappa, InfeasibleDesignError)
+                assert str(kappa) == str(exc)
+                assert ref_min_kappa(n, p, model, config) is None
+                outcomes.add("infeasible")
+                continue
+            assert kappa == single == ref_min_kappa(n, p, model, config)
+            outcomes.add("one" if kappa == 1.0 else "bisected")
+        assert outcomes >= {"infeasible", "bisected"}
+
+    @pytest.mark.parametrize("model, p, strategy, config", [
+        ("exact", 0.05, None, SearchConfig(n_max=400)),
+        ("exact", 0.12, "balanced", SearchConfig()),
+        ("exact", 0.33, "min_n", SearchConfig(n_max=40)),
+        ("exact", 0.5, None, SearchConfig(kappa_max=30.0, n_max=12)),
+        ("exact_free", 0.33, None, SearchConfig(n_max=40)),
+        ("exact_free", 0.45, "balanced", SearchConfig(n_max=20)),
+        ("exact_free", 0.2, "min_n", SearchConfig(n_max=400)),
+    ])
+    def test_search_equals_per_n_reference(self, model, p, strategy, config):
+        got = search_feasible_nk(p, strategy, error_model=model, config=config)
+        assert got == ref_search(p, strategy, model, config)
+
+    def test_infeasibility_is_raised_only_for_n_asked_for(self):
+        # p = 0.9: N = 1 is feasible, N = 2 is not.  A chunk holding both keeps
+        # the error of N = 2 until a scan asks for that N.
+        scan = optimizer._KappaScan(0.9, "exact", SearchConfig())
+        assert scan.kappa(1, 16) == min_kappa(1, 0.9)
+        assert len(scan.found) == 16
+        short = optimizer._KappaScan(0.9, "exact", SearchConfig(n_max=5))
+        assert short.kappa(1, 16) == scan.kappa(1) and sorted(short.found) == [1, 2, 3, 4, 5]
+        with pytest.raises(InfeasibleDesignError, match="N = 2"):
+            scan.kappa(2)
+        (point,) = search_feasible_nk(0.9, "balanced", config=SearchConfig(n_max=1))
+        assert point.segments == 1
 
 
 class TestScaleOptimum:
