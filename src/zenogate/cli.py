@@ -108,6 +108,11 @@ PARAMS: dict[str, dict[str, Param]] = {
 
 _CONFIG_KEYS = {"command", "parameters", "format", "output", "seed"}
 
+# Quantities must be finite (NaN or inf gave NaN rows or tracebacks), except
+# the decay exponents and their ratio: the gate model checks those itself and
+# takes +inf, the perfect absorber (or no one-photon loss).
+_CHECKED_BY_MODEL = frozenset({"xi1", "xi2", "kappa"})
+
 
 class CliError(Exception):
     """Invalid arguments, units or config (exit code 2)."""
@@ -145,6 +150,8 @@ def _coerce(command: str, name: str, value, unit: str | None):
     # a wavelength of 0 has no frequency; NaN or inf lengths give no atom
     if kind == "length" and not 0.0 < number < math.inf:
         raise CliError(f"parameter {name!r} must be a positive finite length")
+    if not math.isfinite(number) and name not in _CHECKED_BY_MODEL:
+        raise CliError(f"parameter {name!r} must be finite")
     return number
 
 

@@ -5,10 +5,12 @@ weak beam splitter (rotation by a small angle) combined with an absorber
 that damps the branch shared with the control photon by exp(-xi).  The
 whole gate is the N-th matrix power of the segment.  Both the angle and the
 decay are real, so the segment and its powers are built in real arithmetic,
-for one decay or for a whole array of them at once.  Two-photon absorption
-(control photon present, decay exponent xi_2gamma) freezes the target in
-its input branch via the Zeno effect; without the control photon
-(xi_1gamma) the target is meant to tunnel to the opposite branch.
+for one decay or for a whole array of them at once.  The error kernels power
+the one- and two-photon segments together, as the two diagonal blocks of
+one matrix.  Two-photon absorption (control photon present, decay exponent
+xi_2gamma) freezes the target in its input branch via the Zeno effect;
+without the control photon (xi_1gamma) the target is meant to tunnel to the
+opposite branch.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import golden_minimize, mat_power
+from .numerics import _power_each, _power_one, golden_minimize, mat_power
 
 SQRT2 = math.sqrt(2.0)
 
@@ -99,25 +101,61 @@ def _transmission(decay):
     return np.array([math.exp(-v) for v in x]) if xi.ndim else math.exp(-x)
 
 
+def _entries(branches: int, c, s, e) -> tuple:
+    """Row-major entries of the segment matrix for angle cosine c, sine s and
+    transmission e (floats, or arrays of one length)."""
+    if branches == 2:
+        return (c, s, -e * s, e * c)
+    # lower splitter, absorber on the middle branch, upper splitter:
+    # [[1,0,0],[0,c,-s],[0,s,c]] @ diag(1,e,1) @ [[c,-s,0],[s,c,0],[0,0,1]]
+    ce, se = c * e, s * e
+    return (c, -s, 0.0, ce * s, ce * c, -s, se * s, se * c, c)
+
+
 def _segments(branches: int, c, s, e) -> np.ndarray:
     """Segment matrix for angle cosine c, sine s and transmission e.
 
     Floats give one (k, k) matrix.  An array e gives a (B, k, k) stack; c and
     s are then floats or arrays of the same length.
     """
-    if branches == 2:
-        entries = (c, s, -e * s, e * c)
-    else:
-        # lower splitter, absorber on the middle branch, upper splitter:
-        # [[1,0,0],[0,c,-s],[0,s,c]] @ diag(1,e,1) @ [[c,-s,0],[s,c,0],[0,0,1]]
-        ce, se = c * e, s * e
-        entries = (c, -s, 0.0, ce * s, ce * c, -s, se * s, se * c, c)
+    entries = _entries(branches, c, s, e)
     if isinstance(e, float):
         return np.array(entries).reshape(branches, branches)
     m = np.empty((len(e), len(entries)))
     for j, entry in enumerate(entries):
         m[:, j] = entry
     return m.reshape(len(e), branches, branches)
+
+
+# flat positions of the two diagonal blocks' entries in a (2k, 2k) pair
+_PAIR_INDEX = {
+    k: [(b * k + j // k) * 2 * k + b * k + j % k for b in (0, 1) for j in range(k * k)]
+    for k in (2, 3)
+}
+
+
+def _pairs(branches: int, c, s, e1, e2) -> np.ndarray:
+    """Block pair [[segment(e1), 0], [0, segment(e2)]], written into one zero
+    array: floats give one (2k, 2k) matrix, arrays a (B, 2k, 2k) stack.
+
+    Powers of a block-diagonal matrix are block-diagonal with the powers of
+    the blocks, so one power gives both the one- and the two-photon gate.
+    Each entry of a block in a product sums the k terms of the (k, k)
+    product plus k exact zeros (0 * 0 from the off-diagonal blocks), so the
+    blocks equal the powers of the (k, k) segments bit for bit wherever the
+    matrix product adds the k terms in the same order at both sizes (it
+    does with OpenBLAS; the tests check it).
+    """
+    entries = _entries(branches, c, s, e1) + _entries(branches, c, s, e2)
+    size, index = 2 * branches, _PAIR_INDEX[branches]
+    if isinstance(e1, float):
+        m = np.zeros(size * size)
+        m[index] = entries
+        return m.reshape(size, size)
+    m = np.zeros((len(e1), size * size))
+    for j, entry in zip(index, entries):
+        m[:, j] = entry
+    return m.reshape(len(e1), size, size)
 
 
 def segment_matrix(geometry: GateGeometry, decay) -> np.ndarray:
@@ -177,14 +215,16 @@ def exact_errors(
             raise ValueError("two-branch gate input is the upper branch")
     elif input_branch not in (0, 2):
         raise ValueError("input_branch must be 0 (top) or 2 (bottom)")
-    m1 = gate_matrix(geometry, rates.one_photon)
-    m2 = gate_matrix(geometry, rates.two_photon)
+    # AbsorberRates has checked the decays; one power of the block pair
+    # gives the gate with and without the control photon
+    k = geometry.branches
+    c, s = math.cos(geometry.angle), math.sin(geometry.angle)
+    pair = _pairs(k, c, s, math.exp(-rates.one_photon), math.exp(-rates.two_photon))
+    m = _power_one(pair, geometry.segments)
     # the matrices are real, so |amplitude|^2 is a plain square; the target
     # should leave on the last branch.  For input_branch 2 the reversal maps
     # (0,2)->(2,0) and (2,2)->(0,0), so the same entries are read.
-    p1 = 1.0 - m1[geometry.branches - 1, 0] ** 2
-    p2 = 1.0 - m2[0, 0] ** 2
-    return p1, p2
+    return 1.0 - m[k - 1, 0] ** 2, 1.0 - m[k, k] ** 2
 
 
 def exact_errors_batch(geometry, one_photon, two_photon) -> tuple[np.ndarray, np.ndarray]:
@@ -207,20 +247,20 @@ def exact_errors_batch(geometry, one_photon, two_photon) -> tuple[np.ndarray, np
     if isinstance(geometry, GateGeometry):
         # every element has the same N and angle: one cosine and sine
         k, c, s = geometry.branches, math.cos(geometry.angle), math.sin(geometry.angle)
-        top, each = geometry.segments, None
+        top = geometry.segments
+        each = np.array([top])
     else:
         geoms = list(geometry)
         if len(geoms) != b or any(g.branches != geoms[0].branches for g in geoms):
             raise ValueError("give one geometry per element, all with the same branch count")
         k = geoms[0].branches
-        c = [math.cos(g.angle) for g in geoms]
-        s = [math.sin(g.angle) for g in geoms]
-        n = [g.segments for g in geoms]
-        c, s, top, each = np.array(c + c), np.array(s + s), max(n), n + n
-    # P1 and P2 as one (2B, k, k) stack
-    e = _transmission(np.concatenate((x1, x2)))
-    m = mat_power(_segments(k, c, s, e), top, each)
-    return 1.0 - m[:b, k - 1, 0] ** 2, 1.0 - m[b:, 0, 0] ** 2
+        c = np.array([math.cos(g.angle) for g in geoms])
+        s = np.array([math.sin(g.angle) for g in geoms])
+        each = np.array([g.segments for g in geoms])
+        top = int(each.max())
+    # P1 and P2 of element i as the two blocks of pair i
+    m = _power_each(_pairs(k, c, s, _transmission(x1), _transmission(x2)), top, each)
+    return 1.0 - m[:, k - 1, 0] ** 2, 1.0 - m[:, k, k] ** 2
 
 
 @dataclass(frozen=True)
@@ -311,30 +351,40 @@ def asymptotic_errors(
         raise ValueError("order must be 'leading' or 'first'")
     n = geometry.segments
     x1, x2 = rates.one_photon, rates.two_photon
-    pi2 = math.pi**2
-    if math.isinf(x2):
-        inv_x2 = 0.0
-    elif x2 == 0.0:
-        inv_x2 = math.inf  # truncation diverges without any absorber
-    else:
-        inv_x2 = 1.0 / x2
-    if geometry.branches == 2:
-        p1 = n * x1
-        p2 = pi2 / (2.0 * n) * inv_x2
-        if order == "first":
-            p1 += x1
+    p1, p2 = leading_errors(geometry, x1, x2)
+    if order == "first":
+        pi2, inv_x2 = math.pi**2, _inverse(x2)
+        x2_finite = 0.0 if math.isinf(x2) else x2
+        p1 += x1
+        if geometry.branches == 2:
             p2 += (2.0 * pi2 - math.pi**4) / (48.0 * n**2)
             p2 += (4.0 * math.pi**4 + math.pi**6) / (192.0 * n**3) * inv_x2
-            p2 += pi2 * (x1 + (0.0 if math.isinf(x2) else x2)) / (24.0 * n)
-    else:
-        p1 = n * x1 / 2.0
-        p2 = pi2 / n * inv_x2
-        if order == "first":
-            p1 += x1
+            p2 += pi2 * (x1 + x2_finite) / (24.0 * n)
+        else:
             p2 += (4.0 * pi2 - 3.0 * math.pi**4) / (48.0 * n**2)
             p2 += (2.0 * math.pi**4 + math.pi**6) / (24.0 * n**3) * inv_x2
-            p2 += pi2 * (x1 + (0.0 if math.isinf(x2) else x2)) / (12.0 * n)
+            p2 += pi2 * (x1 + x2_finite) / (12.0 * n)
     return p1, p2
+
+
+def _inverse(x2):
+    """1/xi_2gamma: 0 at inf, and inf at 0, where the truncation diverges
+    without any absorber."""
+    if isinstance(x2, np.ndarray):
+        return 1.0 / x2
+    return math.inf if x2 == 0.0 else 1.0 / x2
+
+
+def leading_errors(geometry: GateGeometry, one_photon, two_photon):
+    """Leading-order truncations (P1, P2) of asymptotic_errors, for decay
+    exponents given as floats or as arrays of one length (not checked)."""
+    n = geometry.segments
+    # arrays go to inf without warnings, as float arithmetic does
+    with np.errstate(divide="ignore", over="ignore"):
+        inv_x2 = _inverse(two_photon)
+        if geometry.branches == 2:
+            return n * one_photon, math.pi**2 / (2.0 * n) * inv_x2
+        return n * one_photon / 2.0, math.pi**2 / n * inv_x2
 
 
 def optimal_rates(kappa: float, segments: int, branches: int = 3) -> tuple[AbsorberRates, float]:

@@ -200,21 +200,27 @@ def mat_power(m: np.ndarray, n: int, exponents=None) -> np.ndarray:
         return _power_each(m, k, ks)
     if m.ndim == 3:
         return _power_each(m, k, np.array([k]))
-    if k == 0:
+    return _power_one(m, k)
+
+
+def _power_one(m: np.ndarray, n: int) -> np.ndarray:
+    """m**n for one square matrix of any order, n >= 0 (no checks)."""
+    if n == 0:
         return np.eye(m.shape[-1], dtype=m.dtype)
     # ndarray.dot has a fraction of matmul's call overhead on one small matrix
     base, result = m, None
     while True:
-        if k & 1:
+        if n & 1:
             result = base if result is None else result.dot(base)
-        k >>= 1
-        if not k:
+        n >>= 1
+        if not n:
             return m.copy() if result is m else result
         base = base.dot(base)
 
 
 def _power_each(m: np.ndarray, n: int, ks: np.ndarray) -> np.ndarray:
-    """Powers of a stack: ks holds one power in [0, n] per matrix, or one for all."""
+    """Powers of a stack of square matrices of any order (no checks): ks holds
+    one power in [0, n] per matrix, or one for all."""
     # for every bit j (rows) and power (columns): does the matrix multiply
     # m**(2**j) into its product (more), or does its product start there
     # (first, its lowest set bit)?

@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import absorber, gate
 from .numerics import golden_minimize, golden_steps
 
@@ -385,7 +387,13 @@ def search_feasible_nk(
             n = n_min
             cost_up_count = 0
             while n <= config.n_max and cost_up_count < 8:
-                cost = n * math.sqrt(scan.kappa(n, _SCAN_CHUNK))
+                # feasibility need not be monotone in N (at P = 0.9, N = 1
+                # and N >= 3 are feasible, N = 2 is not): an infeasible N
+                # costs inf and counts as a cost increase
+                try:
+                    cost = n * math.sqrt(scan.kappa(n, _SCAN_CHUNK))
+                except InfeasibleDesignError:
+                    cost = math.inf
                 if cost < best_cost:
                     best, best_cost = n, cost
                     cost_up_count = 0
@@ -477,15 +485,11 @@ def error_curve(
         raise ValueError("kappa must be positive")
     geom = gate.GateGeometry(branches, segments)
     xi2 = [xi2_max * i / (samples - 1) for i in range(samples)]
-    xi1 = [x2 / kappa for x2 in xi2]
-    p1, p2 = gate.exact_errors_batch(geom, xi1, xi2)
-    out = []
-    for i, (x1, x2) in enumerate(zip(xi1, xi2)):
-        rates = gate.AbsorberRates(one_photon=x1, two_photon=x2)
-        a1, a2 = gate.asymptotic_errors(geom, rates, order="leading")
-        a2 = min(1.0, a2) if x2 > 0.0 else 1.0
-        out.append(CurvePoint(x2, p1[i], p2[i], min(1.0, a1), a2))
-    return out
+    x1, x2 = np.array([v / kappa for v in xi2]), np.array(xi2)
+    p1, p2 = gate.exact_errors_batch(geom, x1, x2)
+    a1, a2 = gate.leading_errors(geom, x1, x2)
+    columns = (p1, p2, np.minimum(a1, 1.0), np.minimum(a2, 1.0))
+    return [CurvePoint(*row) for row in zip(xi2, *(col.tolist() for col in columns))]
 
 
 def exact_crossing(kappa: float, segments: int, branches: int = 2) -> tuple[float, float]:
@@ -503,6 +507,10 @@ def exact_crossing(kappa: float, segments: int, branches: int = 2) -> tuple[floa
         raise ValueError("no crossing bracketed in (0, 10]")
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            # adjacent floats: diff keeps its sign at either end, so no
+            # further step would move one
+            break
         if diff(mid) < 0.0:
             lo = mid
         else:

@@ -89,12 +89,31 @@ class TestNonFiniteInput:
         (("curve", "--kappa", "nan"), "kappa"),
         (("demo", "--N", "inf"), "N"),
         (("absorber", "--wavelength", "0"), "wavelength"),
+        (("absorber", "--delta", "nan"), "delta"),
+        (("absorber", "--delta", "inf"), "delta"),
+        (("absorber", "--area", "inf"), "area"),
+        (("enhance", "--mechanism", "multipass", "--tau", "nan"), "tau"),
+        (("enhance", "--mechanism", "multipass", "--tau", "inf"), "tau"),
+        (("enhance", "--mechanism", "random_phase", "--box", "nan"), "box"),
     ])
     def test_rejected_with_exit_code_2(self, capsys, argv, word):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and word in err
+
+    @pytest.mark.parametrize("argv", [
+        ("gate", "--N", "100", "--xi1", "0.01", "--xi2", "inf"),   # perfect absorber
+        ("curve", "--kappa", "inf", "--samples", "3"),             # no one-photon loss
+    ])
+    def test_infinite_rates_are_limits(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        for row in rows:
+            for name in ("p_error_exact", "p1_exact", "p2_exact"):
+                if name in row:
+                    assert 0.0 <= float(row[name]) <= 1.0
 
 
 class TestDesignCommand:
@@ -118,6 +137,15 @@ class TestDesignCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and word in err
+
+    def test_feasibility_gap_in_n_is_skipped(self, capsys):
+        # P = 0.9: N = 2 is infeasible between feasible N = 1 and N = 3
+        code, out, err = run_cli(capsys, "design", "--p-target", "0.9")
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        assert [int(row["segments"]) for row in rows] == [1, 3, 200]
+        for row in rows:
+            assert max(float(row["p1_exact"]), float(row["p2_exact"])) <= 0.9
 
     def test_infeasible_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "design", "--p-target", "0.001",

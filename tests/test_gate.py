@@ -28,7 +28,7 @@ from zenogate.gate import (
     segment_matrix,
     zeno_demo_survival,
 )
-from zenogate.numerics import mat_power, rotation2
+from zenogate.numerics import _power_each, _power_one, mat_power, rotation2
 
 SQRT2 = math.sqrt(2.0)
 
@@ -317,7 +317,98 @@ class TestExactErrorsBatch:
                 gate.exact_errors_batch(geoms, x1, x2)
 
 
+class TestBlockPairs:
+    """One power of [[seg(xi1), 0], [0, seg(xi2)]] gives both gates.
+
+    The kernels rely on the diagonal blocks of that power being the powers of
+    the (k, k) segments bit for bit: the product must add the exact zeros of
+    the other block without changing the sums.  A BLAS that groups the sums
+    differently fails here.
+    """
+
+    DECAYS = [0.0, 1e-6, 0.01, 0.14, 1.0, 10.0, math.inf]
+    SEGMENTS = (1, 2, 17, 1000, 100_000)
+
+    @staticmethod
+    def check_blocks(m, k, seg1, seg2):
+        assert np.array_equal(m[..., :k, :k], seg1)
+        assert np.array_equal(m[..., k:, k:], seg2)
+        assert not m[..., :k, k:].any() and not m[..., k:, :k].any()
+
+    def test_scalar_pair(self):
+        for branches in (2, 3):
+            for n in self.SEGMENTS:
+                geom = GateGeometry(branches, n)
+                c, s = math.cos(geom.angle), math.sin(geom.angle)
+                for x1, x2 in zip(self.DECAYS, self.DECAYS[::-1]):
+                    pair = gate._pairs(branches, c, s, math.exp(-x1), math.exp(-x2))
+                    m = _power_one(pair, n)
+                    assert m.shape == (2 * branches, 2 * branches)
+                    self.check_blocks(m, branches, mat_power(segment_matrix(geom, x1), n),
+                                      mat_power(segment_matrix(geom, x2), n))
+
+    def test_stacked_pairs(self):
+        x1, x2 = np.array(self.DECAYS), np.array(self.DECAYS[::-1])
+        e1, e2 = gate._transmission(x1), gate._transmission(x2)   # math.exp, as segments
+        for branches in (2, 3):
+            for n in self.SEGMENTS:
+                geom = GateGeometry(branches, n)
+                c, s = math.cos(geom.angle), math.sin(geom.angle)
+                m = _power_each(gate._pairs(branches, c, s, e1, e2), n, np.array([n]))
+                self.check_blocks(m, branches, mat_power(segment_matrix(geom, x1), n),
+                                  mat_power(segment_matrix(geom, x2), n))
+            # one N and angle per element
+            geoms = [GateGeometry(branches, n) for n in (1, 2, 17, 1000, 100_000, 3)]
+            geoms.append(GateGeometry(branches, 50, angle=0.05))
+            c = np.array([math.cos(g.angle) for g in geoms])
+            s = np.array([math.sin(g.angle) for g in geoms])
+            each = np.array([g.segments for g in geoms])
+            m = _power_each(gate._pairs(branches, c, s, e1, e2), int(each.max()), each)
+            for i, g in enumerate(geoms):
+                self.check_blocks(m[i], branches,
+                                  mat_power(segment_matrix(g, x1[i]), g.segments),
+                                  mat_power(segment_matrix(g, x2[i]), g.segments))
+
+
+def ref_crossing(kappa, segments, branches):
+    """exact_crossing as a fixed 80-step bisection."""
+    geom = GateGeometry(branches, segments)
+
+    def diff(x2):
+        p1, p2 = exact_errors(geom, AbsorberRates(x2 / kappa, x2))
+        return p1 - p2
+
+    lo, hi = 1e-9, 10.0
+    assert diff(lo) <= 0.0 <= diff(hi)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if diff(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    x2 = 0.5 * (lo + hi)
+    return x2, exact_errors(geom, AbsorberRates(x2 / kappa, x2))[0]
+
+
 class TestExactCrossing:
+    @pytest.mark.parametrize("kappa, segments, branches", [
+        (1e3, 1000, 2), (1e3, 1000, 3), (200.0, 300, 2), (5e3, 2000, 3),
+        (1e4, 100_000, 3), (300.0, 20, 3),
+    ])
+    def test_stops_when_bracket_stalls(self, monkeypatch, kappa, segments, branches):
+        # once the ends are adjacent floats no step moves them: same result,
+        # fewer than the 2 + 80 + 1 evaluations of the fixed bisection
+        expected = ref_crossing(kappa, segments, branches)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return exact_errors(*args)
+
+        monkeypatch.setattr(gate, "exact_errors", counted)
+        assert optimizer.exact_crossing(kappa, segments, branches) == expected
+        assert len(calls) < 83
+
     def test_crossing_matches_50_digit_reference(self):
         # The exact curves cross below the leading-order 0.0702; the
         # second-order height and location checked last are derived in the

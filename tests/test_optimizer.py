@@ -148,7 +148,8 @@ def ref_search(p, strategy, model, config):
             best_cost, ups = math.inf, 0
             scan = n_min
             while scan <= config.n_max and ups < 8:
-                cost = scan * math.sqrt(kappa_at(scan))   # None: TypeError, test fails
+                k = kappa_at(scan)   # None: infeasible, a cost increase
+                cost = math.inf if k is None else scan * math.sqrt(k)
                 if cost < best_cost:
                     n, best_cost, ups = scan, cost, 0
                 else:
@@ -200,6 +201,8 @@ class TestLockstepSearch:
         ("exact_free", 0.33, None, SearchConfig(n_max=40)),
         ("exact_free", 0.45, "balanced", SearchConfig(n_max=20)),
         ("exact_free", 0.2, "min_n", SearchConfig(n_max=400)),
+        ("exact", 0.9, None, SearchConfig()),             # N = 2 infeasible
+        ("exact_free", 0.9, "balanced", SearchConfig(n_max=30)),
     ])
     def test_search_equals_per_n_reference(self, model, p, strategy, config):
         got = search_feasible_nk(p, strategy, error_model=model, config=config)
@@ -292,6 +295,16 @@ class TestDesignPointsAndSearch:
         points = search_feasible_nk(0.5, strategy="min_n", config=config)
         assert points[0].segments == 8  # N=7 fails at any kappa
 
+    def test_infeasible_n_inside_the_balanced_scan_is_skipped(self):
+        # P = 0.9: N = 1 (kappa ~ 41) and N >= 3 are feasible, N = 2 is not
+        with pytest.raises(InfeasibleDesignError):
+            min_kappa(2, 0.9)
+        for model, segments in (("exact", [1, 3, 30]), ("exact_free", [1, 1, 30])):
+            points = search_feasible_nk(0.9, error_model=model, config=SearchConfig(n_max=30))
+            assert [pt.segments for pt in points] == segments
+            for pt in points:
+                assert max(pt.p1_exact, pt.p2_exact) <= 0.9
+
     def test_search_propagates_infeasibility(self):
         with pytest.raises(InfeasibleDesignError):
             search_feasible_nk(0.001, strategy="min_n",
@@ -338,6 +351,19 @@ class TestErrorCurve:
         for kappa in (0.0, -5.0, math.nan):
             with pytest.raises(ValueError):
                 error_curve(kappa, 100)
+
+    def test_leading_columns_equal_clipped_asymptotic_errors(self):
+        for kappa, n, xi2_max, samples, branches in ((1e3, 1000, 0.14, 141, 2),
+                                                     (500.0, 200, 0.5, 33, 3),
+                                                     (50.0, 3, 5.0, 20, 2)):
+            geom = gate.GateGeometry(branches, n)
+            points = error_curve(kappa, n, xi2_max, samples, branches)
+            assert points[0].xi_2gamma == 0.0 and points[0].p2_approx == 1.0
+            for pt in points:
+                rates = gate.AbsorberRates(pt.xi_2gamma / kappa, pt.xi_2gamma)
+                a1, a2 = gate.asymptotic_errors(geom, rates, "leading")
+                assert pt.p1_approx == min(1.0, a1)
+                assert pt.p2_approx == min(1.0, a2)   # inf at xi_2gamma = 0
 
     def test_columns_are_probabilities(self):
         for pt in error_curve(1000.0, 1000, samples=15):
