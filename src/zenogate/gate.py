@@ -47,8 +47,10 @@ class GateGeometry:
     def __post_init__(self):
         if self.branches not in (2, 3):
             raise ValueError("branches must be 2 or 3")
-        if self.segments < 1:
+        # NumPy integers are accepted; 2.5 (and 5.0) are not
+        if not isinstance(self.segments, (int, np.integer)) or self.segments < 1:
             raise ValueError("segments must be a positive integer")
+        object.__setattr__(self, "segments", int(self.segments))
         if self.angle is None:
             object.__setattr__(self, "angle", default_angle(self.branches, self.segments))
         # pi/2 is the N=1 two-branch default and pi/sqrt(2) the N=1
@@ -459,7 +461,7 @@ def control_loss_adjusted(kappa: float, segments: int, control_rate: float) -> f
     With xi_c as large as the balanced three-branch xi_1gamma the total is
     five times the lossless-control value.
     """
-    if control_rate < 0.0:
+    if not control_rate >= 0.0:  # also rejects NaN
         raise ValueError("control loss rate must be >= 0")
     return overall_error(kappa) + 2.0 * segments * control_rate
 

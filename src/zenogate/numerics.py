@@ -1,5 +1,5 @@
-"""Small real/complex matrix algebra, physical constants, unit conversions
-and a golden-section minimizer.
+"""Small real/complex matrix algebra, physical constants, unit conversions,
+a golden-section minimizer and a sign bisection.
 
 Everything downstream works in natural units (hbar = c = eps0 = 1) with the
 electron-volt as the base scale: energies and angular frequencies in eV,
@@ -238,13 +238,19 @@ def _power_each(m: np.ndarray, n: int, ks: np.ndarray) -> np.ndarray:
     # slices with no bit set yet are overwritten, but the masked products run
     # over them too: a copy of m, not np.empty garbage (subnormals slow matmul)
     result, base = m.copy(), m
+    # every product goes into the spare work array through out=, and the
+    # array it replaces becomes the spare; m itself is never written
+    spare = np.empty(m.shape, m.dtype)
     for bit in range(len(more)):
         if bit:
-            base = np.matmul(base, base)
+            np.matmul(base, base, out=spare)
+            base, spare = spare, np.empty(m.shape, m.dtype) if base is m else base
         if more[bit] is True:
-            result = np.matmul(result, base)
+            np.matmul(result, base, out=spare)
+            result, spare = spare, result
         elif more[bit] is not None:
-            np.copyto(result, np.matmul(result, base), where=more[bit])
+            np.matmul(result, base, out=spare)
+            np.copyto(result, spare, where=more[bit])
         if first[bit] is not None:
             np.copyto(result, base, where=first[bit])
     if ks.min(initial=1) == 0:
@@ -277,15 +283,46 @@ def golden_steps(lo: float, hi: float, tol: float):
     return 0.5 * (a + b)
 
 
-def golden_minimize(f, lo: float, hi: float, tol: float) -> float:
-    """Golden-section minimum of a unimodal scalar function on [lo, hi]."""
-    steps = golden_steps(lo, hi, tol)
+def bisect_steps(lo: float, hi: float, tol: float, max_steps: int | None = None):
+    """Bisection on the sign of a function f as a coroutine.
+
+    Yields lo, then hi, then midpoints, and is sent f at each point.  A
+    midpoint where f < 0 replaces lo, any other replaces hi.  Returns the
+    final bracket (lo, hi) once hi - lo <= tol, after max_steps midpoints, or
+    when the midpoint is an end (adjacent floats: no later step would move
+    one).  Returns None after the two ends when f(lo) > 0 or f(hi) < 0, which
+    bracket no sign change.
+    """
+    f_lo = yield lo
+    f_hi = yield hi
+    if f_lo > 0.0 or f_hi < 0.0:
+        return None
+    steps = 0
+    while hi - lo > tol and steps != max_steps:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if (yield mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        steps += 1
+    return lo, hi
+
+
+def run_steps(steps, f):
+    """Drive a search coroutine (golden_steps, bisect_steps) with f; its result."""
     x = next(steps)
     while True:
         try:
             x = steps.send(f(x))
         except StopIteration as done:
             return done.value
+
+
+def golden_minimize(f, lo: float, hi: float, tol: float) -> float:
+    """Golden-section minimum of a unimodal scalar function on [lo, hi]."""
+    return run_steps(golden_steps(lo, hi, tol), f)
 
 
 def rotation2(angle: float) -> np.ndarray:

@@ -6,8 +6,9 @@ three-branch error probabilities.  The default search ('exact') pins the
 decay rates to the error-balancing rule parameterized by kappa and asks
 when the exact maximum error drops below the target; this is the procedure
 that reproduces the bundled example tables.  Two further error models are
-available: 'leading', which searches on the large-N truncations and
-converges to the closed-form kappa = pi^2/(2P^2) for any N, and
+available: 'leading', whose least maximum of the large-N truncations over
+the absorber scale is the closed form pi/sqrt(2*kappa) at every N, so that
+it returns kappa = pi^2/(2P^2) to within kappa_tol, and
 'exact_free', which additionally minimizes over the absorber scale and
 therefore returns the true (slightly smaller) minimum.
 """
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import absorber, gate
-from .numerics import golden_minimize, golden_steps
+from .numerics import bisect_steps, run_steps
 
 SQRT2 = math.sqrt(2.0)
 
@@ -32,7 +33,7 @@ class InfeasibleDesignError(ValueError):
 @dataclass(frozen=True)
 class SearchConfig:
     kappa_tol: float = 1e-3        # relative bisection width in kappa
-    scale_tol: float = 1e-6        # golden-section tolerance in absorber scale
+    scale_tol: float = 1e-6        # bisection width in log absorber scale
     kappa_max: float = 1e6
     n_max: int = 200
 
@@ -115,21 +116,26 @@ def _max_error_steps(geometry: gate.GateGeometry, kappa: float, scale: float | N
 
 
 def _scale_steps(geometry: gate.GateGeometry, kappa: float, config: SearchConfig):
-    """Coroutine form of minimized_max_error."""
+    """Coroutine form of minimized_max_error.
+
+    P1 rises and P2 falls with the absorber scale, so max(P1, P2) is least
+    where they cross: bisect the sign of P1 - P2 in log scale and keep the
+    best point evaluated (an end of the bracket if P1 - P2 has no sign
+    change there).  Where one error is flat (P2 at N = 1), every point on
+    its side ties.
+    """
     x1, x2 = _balanced(geometry, kappa)
-    search = golden_steps(math.log(1e-3), math.log(1e3), config.scale_tol)
-    log_scale = next(search)
+    search = bisect_steps(math.log(1e-3), math.log(1e3), config.scale_tol)
+    log_scale, best = next(search), None
     while True:
         scale = math.exp(log_scale)
         p1, p2 = yield geometry, scale * x1, scale * x2
+        if best is None or max(p1, p2) <= best[0]:   # a tie: the later, nearer the crossing
+            best = max(p1, p2), scale
         try:
-            log_scale = search.send(max(p1, p2))
-        except StopIteration as done:
-            log_best = done.value
-            break
-    scale = math.exp(log_best)
-    p1, p2 = yield geometry, scale * x1, scale * x2
-    return max(p1, p2), scale
+            log_scale = search.send(p1 - p2)
+        except StopIteration:
+            return best
 
 
 def exact_max_error(segments: int, kappa: float, scale: float | None = None) -> float:
@@ -146,20 +152,6 @@ def minimized_max_error(segments: int, kappa: float, config: SearchConfig = Sear
     return _lockstep([_scale_steps(gate.GateGeometry(3, segments), kappa, config)])[0]
 
 
-def _leading_min_error(segments: int, kappa: float, config: SearchConfig) -> float:
-    """Min over scale of max of the leading-order truncations."""
-    def objective(log_x1):
-        x1 = math.exp(log_x1)
-        p1 = segments * x1 / 2.0
-        p2 = math.pi**2 / (segments * kappa * x1)
-        return max(p1, p2)
-
-    log_best = golden_minimize(
-        objective, math.log(1e-12), math.log(10.0), config.scale_tol
-    )
-    return objective(log_best)
-
-
 _ERROR_MODELS = ("exact", "exact_free", "leading")
 
 
@@ -168,7 +160,9 @@ def _feasible_steps(geometry, kappa: float, p_target: float, error_model: str, c
         return (yield from _max_error_steps(geometry, kappa)) <= p_target
     if error_model == "exact_free":
         return (yield from _scale_steps(geometry, kappa, config))[0] <= p_target
-    return _leading_min_error(geometry.segments, kappa, config) <= p_target
+    # the leading-order truncations N*xi_1gamma/2 and pi^2/(N*xi_2gamma)
+    # cross at pi/sqrt(2*kappa) for every N, the least max over the scale
+    return gate.overall_error(kappa) <= p_target
 
 
 def _check_search(p_target: float, error_model: str) -> None:
@@ -224,7 +218,7 @@ def segment_probabilities(segments: int, kappa: float) -> tuple[float, float]:
     P2_seg = 1 - exp(-2*sqrt(kappa)*sqrt(2)*pi/N) and
     P1_seg = 1 - exp(-2*sqrt(2)*pi/(sqrt(kappa)*N)) for the three-branch gate.
     """
-    if kappa <= 0.0 or segments < 1:
+    if not (kappa > 0.0 and segments >= 1):  # NaN fails; kappa = inf: perfect absorber
         raise ValueError("kappa must be > 0 and segments >= 1")
     x2 = math.sqrt(kappa) * SQRT2 * math.pi / segments
     x1 = SQRT2 * math.pi / (math.sqrt(kappa) * segments)
@@ -238,8 +232,8 @@ def required_enhancement(kappa_target: float, spec: absorber.AtomSpec) -> int:
     and the direct quadratic-field channel.  At a destructive-interference
     point the ratio is unbounded and no enhancement is needed.
     """
-    if kappa_target <= 0.0:
-        raise ValueError("kappa_target must be positive")
+    if not 0.0 < kappa_target < math.inf:  # also rejects NaN
+        raise ValueError("kappa_target must be positive and finite")
     try:
         k0 = absorber.measured_absorption_ratio(spec, include_control=True, include_a2_term=True)
     except absorber.RatioUnboundedError:
@@ -502,19 +496,10 @@ def exact_crossing(kappa: float, segments: int, branches: int = 2) -> tuple[floa
         )
         return p1 - p2
 
-    lo, hi = 1e-9, 10.0
-    if diff(lo) > 0.0 or diff(hi) < 0.0:
+    bracket = run_steps(bisect_steps(1e-9, 10.0, 0.0, 80), diff)
+    if bracket is None:
         raise ValueError("no crossing bracketed in (0, 10]")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            # adjacent floats: diff keeps its sign at either end, so no
-            # further step would move one
-            break
-        if diff(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = bracket
     x2 = 0.5 * (lo + hi)
     p1, _ = gate.exact_errors(geom, gate.AbsorberRates(one_photon=x2 / kappa, two_photon=x2))
     return x2, p1

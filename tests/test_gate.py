@@ -87,6 +87,16 @@ class TestSegmentMatrix:
         assert GateGeometry(2, 1).angle == pytest.approx(math.pi / 2)
         assert GateGeometry(3, 1).angle == pytest.approx(math.pi / SQRT2)
 
+    def test_segments_must_be_an_integer(self):
+        # 2.5 segments used to pass and fail later, in the matrix power
+        for bad in (2.5, 5.0, math.nan, "5"):
+            with pytest.raises(ValueError, match="segments"):
+                GateGeometry(3, bad)
+        geom = GateGeometry(3, np.int64(5))
+        assert geom == GateGeometry(3, 5) and type(geom.segments) is int
+        rates = AbsorberRates(0.01, 1.0)
+        assert exact_errors(geom, rates) == exact_errors(GateGeometry(3, 5), rates)
+
 
 class TestPropagate:
     def test_lossless_full_transfer(self):
@@ -390,7 +400,56 @@ def ref_crossing(kappa, segments, branches):
     return x2, exact_errors(geom, AbsorberRates(x2 / kappa, x2))[0]
 
 
+def loop_crossing(kappa, segments, branches):
+    """exact_crossing's own loop before it was driven by numerics.bisect_steps:
+    (x2, P1, kernel evaluations)."""
+    geom = GateGeometry(branches, segments)
+    calls = []
+
+    def diff(x2):
+        calls.append(x2)
+        p1, p2 = exact_errors(geom, AbsorberRates(x2 / kappa, x2))
+        return p1 - p2
+
+    lo, hi = 1e-9, 10.0
+    if diff(lo) > 0.0 or diff(hi) < 0.0:
+        raise ValueError("no crossing bracketed in (0, 10]")
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if diff(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    x2 = 0.5 * (lo + hi)
+    calls.append(x2)
+    return x2, exact_errors(geom, AbsorberRates(x2 / kappa, x2))[0], len(calls)
+
+
 class TestExactCrossing:
+    @pytest.mark.parametrize("branches", [2, 3])
+    def test_equals_its_own_loop(self, monkeypatch, branches):
+        # same crossing and the same evaluations as the written-out loop
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return exact_errors(*args)
+
+        monkeypatch.setattr(gate, "exact_errors", counted)
+        for kappa, segments in ((1e3, 1000), (200.0, 300), (5e3, 2000), (1e4, 100_000),
+                                (300.0, 20), (10.0, 3), (1e3, 60)):
+            calls.clear()
+            x2, p1, evaluations = loop_crossing(kappa, segments, branches)
+            assert optimizer.exact_crossing(kappa, segments, branches) == (x2, p1)
+            assert len(calls) == evaluations
+        for kappa, segments in ((50.0, 3), (1e3, 10)):   # no crossing in (0, 10]
+            with pytest.raises(ValueError, match="no crossing"):
+                loop_crossing(kappa, segments, branches)
+            with pytest.raises(ValueError, match="no crossing"):
+                optimizer.exact_crossing(kappa, segments, branches)
+
     @pytest.mark.parametrize("kappa, segments, branches", [
         (1e3, 1000, 2), (1e3, 1000, 3), (200.0, 300, 2), (5e3, 2000, 3),
         (1e4, 100_000, 3), (300.0, 20, 3),
@@ -563,6 +622,10 @@ class TestControlLoss:
     def test_direct_evaluation(self):
         got = control_loss_adjusted(500.0, 100, 1e-5)
         assert got == pytest.approx(overall_error(500.0) + 2e-3, rel=1e-12)
+
+    def test_nan_control_rate_is_rejected(self):
+        with pytest.raises(ValueError, match="control loss rate"):
+            control_loss_adjusted(500.0, 100, math.nan)
 
 
 class TestZenoDemo:

@@ -12,11 +12,13 @@ from zenogate.numerics import (
     HBAR_EV_S,
     Quantity,
     UnitError,
+    bisect_steps,
     convert,
     golden_minimize,
     golden_steps,
     mat_power,
     rotation2,
+    run_steps,
 )
 
 
@@ -100,6 +102,12 @@ class TestMatPower:
         out = mat_power(m, 1)
         out[0, 0] = 9.0
         assert m[0, 0] == 0.6
+        # the stack loop reuses its work arrays, never the input's memory
+        stack = np.stack([m, m.T, -m])
+        before = stack.copy()
+        for n, each in ((1, None), (13, None), (13, [13, 0, 6])):
+            out = mat_power(stack, n, each)
+            assert np.array_equal(stack, before) and not np.shares_memory(out, stack)
 
 
 class TestGoldenMinimize:
@@ -120,6 +128,39 @@ class TestGoldenMinimize:
                 x = steps.send(f(x))
         assert done.value.value == golden_minimize(f, 0.0, 3.0, 1e-8)
         assert len(points) == len(set(points)) > 30
+
+
+class TestBisectSteps:
+    def points(self, f, *args):
+        points = []
+
+        def visit(x):
+            points.append(x)
+            return f(x)
+
+        return run_steps(bisect_steps(*args), visit), points
+
+    def test_brackets_the_sign_change(self):
+        (lo, hi), points = self.points(lambda x: x * x - 2.0, 0.0, 2.0, 1e-12)
+        assert lo < math.sqrt(2.0) <= hi and hi - lo <= 1e-12
+        assert points[:2] == [0.0, 2.0] and points[2] == 1.0
+
+    def test_evaluations_of_the_scale_search(self):
+        # width 13.8 halves 24 times to below 1e-6: the two ends plus 24
+        lo, hi = math.log(1e-3), math.log(1e3)
+        (a, b), points = self.points(lambda x: x - 0.1, lo, hi, 1e-6)
+        assert len(points) == 26 and b - a <= 1e-6 < 2.0 * (b - a)
+
+    def test_no_sign_change_stops_after_the_ends(self):
+        for f in (lambda x: x + 5.0, lambda x: x - 5.0):
+            bracket, points = self.points(f, 0.0, 1.0, 1e-9)
+            assert bracket is None and points == [0.0, 1.0]
+
+    def test_step_limit_and_adjacent_ends(self):
+        _, points = self.points(lambda x: x - 0.3, 0.0, 1.0, 0.0, 3)
+        assert points == [0.0, 1.0, 0.5, 0.25, 0.375]
+        hi = math.nextafter(1.0, 2.0)
+        assert self.points(lambda x: x - 1.0, 1.0, hi, 0.0) == ((1.0, hi), [1.0, hi])
 
 
 class TestConstants:

@@ -35,6 +35,17 @@ class TestMinKappa:
             got = min_kappa(10_000, p, error_model="leading")
             assert got == pytest.approx(gate.required_kappa(p), rel=0.01)
 
+    def test_leading_model_bisects_the_closed_form(self):
+        # the least max of N*xi_1gamma/2 and pi^2/(N*xi_2gamma) over the
+        # absorber scale is pi/sqrt(2*kappa) at every N: one kappa for all N,
+        # the first within kappa_tol above which the closed form reaches p
+        config = SearchConfig()
+        for p in (0.05, 0.1, 0.25, 0.5, 0.9):
+            kappas = {min_kappa(n, p, "leading", config) for n in (1, 10, 100, 10_000)}
+            assert len(kappas) == 1
+            kappa = kappas.pop()
+            assert gate.overall_error(kappa) <= p < gate.overall_error(kappa / (1 + config.kappa_tol))
+
     @pytest.mark.parametrize(("p", "n"), list(REFERENCE_KAPPA))
     def test_exact_model_matches_reference_points(self, p, n):
         got = min_kappa(n, p, error_model="exact")
@@ -81,16 +92,47 @@ class TestSearchConfig:
 
 
 # A plain per-N reference of the design search: one scalar exact_errors call
-# per evaluation, the bisection and golden-section loops written out.
+# per evaluation, the bisection loops written out.
 
-def ref_max_error(n, kappa, scale=None):
+def ref_errors(n, kappa, scale=None):
     rates, _ = gate.optimal_rates(kappa, n, branches=3)
     if scale is not None:
         rates = gate.AbsorberRates(scale * rates.one_photon, scale * rates.two_photon)
-    return max(gate.exact_errors(gate.GateGeometry(3, n), rates))
+    return gate.exact_errors(gate.GateGeometry(3, n), rates)
+
+
+def ref_max_error(n, kappa, scale=None):
+    return max(ref_errors(n, kappa, scale))
 
 
 def ref_min_error(n, kappa, config):
+    """(least max(P1, P2) evaluated, its scale): bisection on the sign of
+    P1 - P2 over log scale in [ln 1e-3, ln 1e3]; a tie keeps the later point."""
+    best = None
+
+    def diff(log_scale):
+        nonlocal best
+        scale = math.exp(log_scale)
+        p1, p2 = ref_errors(n, kappa, scale)
+        if best is None or max(p1, p2) <= best[0]:
+            best = max(p1, p2), scale
+        return p1 - p2
+
+    lo, hi = math.log(1e-3), math.log(1e3)
+    d_lo, d_hi = diff(lo), diff(hi)
+    if d_lo <= 0.0 <= d_hi:
+        while hi - lo > config.scale_tol:
+            mid = 0.5 * (lo + hi)
+            if diff(mid) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+    return best
+
+
+def golden_min_error(n, kappa, config):
+    """Golden-section minimization of max(P1, P2) over the same bracket: a
+    second, independent reference for the kappa of the crossing bisection."""
     def f(log_scale):
         return ref_max_error(n, kappa, math.exp(log_scale))
 
@@ -111,12 +153,12 @@ def ref_min_error(n, kappa, config):
     return f(best), math.exp(best)
 
 
-def ref_min_kappa(n, p, model, config):
+def ref_min_kappa(n, p, model, config, min_error=ref_min_error):
     """Minimal kappa at N = n, or None where kappa_max does not reach p."""
     def feasible(kappa):
         if model == "exact":
             return ref_max_error(n, kappa) <= p
-        return ref_min_error(n, kappa, config)[0] <= p
+        return min_error(n, kappa, config)[0] <= p
 
     lo, hi = 1.0, config.kappa_max
     if not feasible(hi):
@@ -229,6 +271,52 @@ class TestScaleOptimum:
         assert abs(scale - 1.0) < 0.05
         assert err <= exact_crossing(1000.0, 1000, branches=3)[1] * (1 + 1e-6)
 
+    @pytest.mark.parametrize("segments, kappa", [
+        (20, 10.0), (20, 100.0), (60, 10.0), (60, 100.0), (60, 1e3),
+        (200, 10.0), (200, 1e3), (200, 1e4), (1000, 10.0), (1000, 1e3), (1000, 1e4),
+    ])
+    def test_least_max_error_is_the_crossing_height(self, segments, kappa):
+        # the balanced rates scaled keep xi_1gamma = xi_2gamma/kappa, the ray
+        # along which exact_crossing bisects; the scale search ends within
+        # 8.2e-7 of the crossing in log scale, where both errors move by
+        # about that fraction
+        err, _ = minimized_max_error(segments, kappa)
+        height = exact_crossing(kappa, segments, branches=3)[1]
+        assert err == pytest.approx(height, rel=1e-6)
+
+    def test_kernel_evaluations_per_search(self, monkeypatch):
+        # both ends, then 24 midpoints halve the 13.8-wide log bracket to
+        # below scale_tol = 1e-6; the kappa bisection checks 16 kappa at N = 60
+        calls, real = [], gate.exact_errors
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(gate, "exact_errors", counted)
+        minimized_max_error(60, 100.0)
+        assert len(calls) == 26
+        for model, evaluations in (("exact", 16), ("exact_free", 16 * 26)):
+            calls.clear()
+            min_kappa(60, 0.2, model)
+            assert len(calls) == evaluations
+
+    # the grid on which the crossing bisection gives the golden-section kappa
+    # bit for bit (the two scale searches' minima differ by up to 3e-7)
+    GOLDEN_GRID_N = list(range(1, 60, 3)) + [100, 200, 400]
+
+    @pytest.mark.parametrize("p", [0.05, 0.12, 0.2, 0.33, 0.45, 0.9])
+    def test_kappa_equals_golden_section_search(self, p):
+        config = SearchConfig()
+        got = optimizer._lockstep([optimizer._kappa_steps(n, p, "exact_free", config)
+                                   for n in self.GOLDEN_GRID_N])
+        for n, kappa in zip(self.GOLDEN_GRID_N, got):
+            golden = ref_min_kappa(n, p, "exact_free", config, golden_min_error)
+            if golden is None:
+                assert isinstance(kappa, InfeasibleDesignError)
+            else:
+                assert kappa == golden
+
 
 class TestSegmentProbabilities:
     def test_reference_rows(self):
@@ -250,6 +338,12 @@ class TestSegmentProbabilities:
         with pytest.raises(ValueError):
             segment_probabilities(10, 0.0)
 
+    def test_rejects_nan_and_keeps_the_infinite_limit(self):
+        for segments, kappa in ((10, math.nan), (math.nan, 10.0)):
+            with pytest.raises(ValueError):
+                segment_probabilities(segments, kappa)
+        assert segment_probabilities(10, math.inf) == (1.0, 0.0)
+
 
 class TestRequiredEnhancement:
     def test_matching_ratio_needs_no_enhancement(self):
@@ -263,6 +357,11 @@ class TestRequiredEnhancement:
         # all energies equal at the diffraction limit: ceil(120 / (3/(2*pi^3)))
         ideal = 3.0 / (2.0 * math.pi**3)
         assert math.ceil(120.0 / ideal) == 2481
+
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf])
+    def test_rejects_non_finite_target(self, kappa):
+        with pytest.raises(ValueError, match="kappa_target"):
+            required_enhancement(kappa, optical_example())
 
     def test_full_model_stays_within_ten_percent_of_reference(self):
         spec = optical_example()
