@@ -225,8 +225,11 @@ def exact_errors(
     m = _power_one(pair, geometry.segments)
     # the matrices are real, so |amplitude|^2 is a plain square; the target
     # should leave on the last branch.  For input_branch 2 the reversal maps
-    # (0,2)->(2,0) and (2,2)->(0,0), so the same entries are read.
-    return 1.0 - m[k - 1, 0] ** 2, 1.0 - m[k, k] ** 2
+    # (0,2)->(2,0) and (2,2)->(0,0), so the same entries are read.  a * a,
+    # not a ** 2: on a NumPy float ** goes through libm pow, which can differ
+    # from the exact product in the last bit, and the batch squares exactly.
+    a1, a2 = m.item(k - 1, 0), m.item(k, k)
+    return 1.0 - a1 * a1, 1.0 - a2 * a2
 
 
 def exact_errors_batch(geometry, one_photon, two_photon) -> tuple[np.ndarray, np.ndarray]:
@@ -262,7 +265,8 @@ def exact_errors_batch(geometry, one_photon, two_photon) -> tuple[np.ndarray, np
         top = int(each.max())
     # P1 and P2 of element i as the two blocks of pair i
     m = _power_each(_pairs(k, c, s, _transmission(x1), _transmission(x2)), top, each)
-    return 1.0 - m[:, k - 1, 0] ** 2, 1.0 - m[:, k, k] ** 2
+    a1, a2 = m[:, k - 1, 0], m[:, k, k]
+    return 1.0 - a1 * a1, 1.0 - a2 * a2
 
 
 @dataclass(frozen=True)
@@ -410,7 +414,10 @@ def optimal_rates(kappa: float, segments: int, branches: int = 3) -> tuple[Absor
 
 
 def overall_error(kappa: float) -> float:
-    """Balanced large-N error pi/sqrt(2*kappa), both gate variants."""
+    """Balanced large-N error pi/sqrt(2*kappa), both gate variants; 0 for a
+    perfect absorber (kappa = inf)."""
+    if not kappa > 0.0:  # also rejects NaN
+        raise ValueError("kappa must be positive")
     return math.pi / math.sqrt(2.0 * kappa)
 
 
@@ -468,7 +475,8 @@ def control_loss_adjusted(kappa: float, segments: int, control_rate: float) -> f
 
 def zeno_demo_survival(segments: int) -> float:
     """Double-well demo: probability cos(pi/2N)**2N of staying put under N measurements."""
-    if segments < 1:
+    # NumPy integers are accepted; NaN, 2.5 and 5.0 are not
+    if not isinstance(segments, (int, np.integer)) or segments < 1:
         raise ValueError("segments must be a positive integer")
     return math.cos(math.pi / (2.0 * segments)) ** (2 * segments)
 

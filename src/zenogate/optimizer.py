@@ -115,7 +115,8 @@ def _max_error_steps(geometry: gate.GateGeometry, kappa: float, scale: float | N
     return max(p1, p2)
 
 
-def _scale_steps(geometry: gate.GateGeometry, kappa: float, config: SearchConfig):
+def _scale_steps(geometry: gate.GateGeometry, kappa: float, config: SearchConfig,
+                 budget: float | None = None):
     """Coroutine form of minimized_max_error.
 
     P1 rises and P2 falls with the absorber scale, so max(P1, P2) is least
@@ -123,6 +124,12 @@ def _scale_steps(geometry: gate.GateGeometry, kappa: float, config: SearchConfig
     best point evaluated (an end of the bracket if P1 - P2 has no sign
     change there).  Where one error is flat (P2 at N = 1), every point on
     its side ties.
+
+    With a budget, the search returns the best point as soon as it is within
+    the budget.  Which point comes next depends only on the sign of P1 - P2,
+    never on the budget, so the points evaluated are a prefix of those of
+    the full search; and the best never gets worse, so the search stops
+    within the budget exactly when the full search would end within it.
     """
     x1, x2 = _balanced(geometry, kappa)
     search = bisect_steps(math.log(1e-3), math.log(1e3), config.scale_tol)
@@ -132,6 +139,8 @@ def _scale_steps(geometry: gate.GateGeometry, kappa: float, config: SearchConfig
         p1, p2 = yield geometry, scale * x1, scale * x2
         if best is None or max(p1, p2) <= best[0]:   # a tie: the later, nearer the crossing
             best = max(p1, p2), scale
+        if budget is not None and best[0] <= budget:
+            return best
         try:
             log_scale = search.send(p1 - p2)
         except StopIteration:
@@ -156,10 +165,15 @@ _ERROR_MODELS = ("exact", "exact_free", "leading")
 
 
 def _feasible_steps(geometry, kappa: float, p_target: float, error_model: str, config: SearchConfig):
+    """Coroutine: whether kappa reaches p_target at this geometry.
+
+    For 'exact_free' the scale search stops at the first point within the
+    budget: a prefix of the full search's points, with the same answer.
+    """
     if error_model == "exact":
         return (yield from _max_error_steps(geometry, kappa)) <= p_target
     if error_model == "exact_free":
-        return (yield from _scale_steps(geometry, kappa, config))[0] <= p_target
+        return (yield from _scale_steps(geometry, kappa, config, p_target))[0] <= p_target
     # the leading-order truncations N*xi_1gamma/2 and pi^2/(N*xi_2gamma)
     # cross at pi/sqrt(2*kappa) for every N, the least max over the scale
     return gate.overall_error(kappa) <= p_target

@@ -609,6 +609,23 @@ class TestFranson:
         assert overall_error(1430.0) == pytest.approx(0.0587, abs=5e-5)
 
 
+class TestOverallError:
+    def test_perfect_absorber_has_no_error(self):
+        assert overall_error(math.inf) == 0.0
+
+    def test_nan_kappa_is_rejected(self):
+        with pytest.raises(ValueError, match="kappa must be positive"):
+            overall_error(math.nan)
+
+    def test_negative_kappa_is_rejected(self):
+        with pytest.raises(ValueError, match="kappa must be positive"):
+            overall_error(-1.0)
+
+    def test_zero_kappa_is_rejected(self):
+        with pytest.raises(ValueError, match="kappa must be positive"):
+            overall_error(0.0)
+
+
 class TestControlLoss:
     def test_lossless_control_reduces_to_overall_error(self):
         assert control_loss_adjusted(500.0, 100, 0.0) == overall_error(500.0)
@@ -627,6 +644,10 @@ class TestControlLoss:
         with pytest.raises(ValueError, match="control loss rate"):
             control_loss_adjusted(500.0, 100, math.nan)
 
+    def test_nan_kappa_is_rejected(self):
+        with pytest.raises(ValueError, match="kappa must be positive"):
+            control_loss_adjusted(math.nan, 10, 0.0)
+
 
 class TestZenoDemo:
     def test_single_measurement_kills_survival(self):
@@ -639,3 +660,11 @@ class TestZenoDemo:
     def test_large_n_expansion(self):
         n = 10_000
         assert abs(zeno_demo_survival(n) - (1 - math.pi**2 / (4 * n))) < 5.0 / n**2
+
+    def test_nan_segments_are_rejected(self):
+        with pytest.raises(ValueError, match="positive integer"):
+            zeno_demo_survival(math.nan)
+
+    def test_fractional_segments_are_rejected(self):
+        with pytest.raises(ValueError, match="positive integer"):
+            zeno_demo_survival(2.5)

@@ -286,7 +286,12 @@ class TestScaleOptimum:
 
     def test_kernel_evaluations_per_search(self, monkeypatch):
         # both ends, then 24 midpoints halve the 13.8-wide log bracket to
-        # below scale_tol = 1e-6; the kappa bisection checks 16 kappa at N = 60
+        # below scale_tol = 1e-6; the kappa bisection checks 16 kappa at N = 60.
+        # An exact_free check stops at the first point within the budget
+        # P = 0.2: the 6 infeasible kappa take all 26 points (156); 7 feasible
+        # kappa stop at the third, the first midpoint (scale 1, the balanced
+        # rates: 21); the last three feasible kappa, near kappa_min = 94.48,
+        # stop after 14, 14 and 19 points (47).  156 + 21 + 47 = 224.
         calls, real = [], gate.exact_errors
 
         def counted(*args):
@@ -296,26 +301,76 @@ class TestScaleOptimum:
         monkeypatch.setattr(gate, "exact_errors", counted)
         minimized_max_error(60, 100.0)
         assert len(calls) == 26
-        for model, evaluations in (("exact", 16), ("exact_free", 16 * 26)):
+        for model, evaluations in (("exact", 16), ("exact_free", 224)):
             calls.clear()
             min_kappa(60, 0.2, model)
             assert len(calls) == evaluations
+
+    @staticmethod
+    def scale_points(segments, kappa, budget):
+        """(requests of one scale search, its result), one at a time."""
+        search = optimizer._scale_steps(gate.GateGeometry(3, segments), kappa, SearchConfig(), budget)
+        requests, value = [], None
+        try:
+            while True:
+                requests.append(search.send(value))
+                geometry, x1, x2 = requests[-1]
+                value = gate.exact_errors(geometry, gate.AbsorberRates(x1, x2))
+        except StopIteration as done:
+            return requests, done.value
+
+    @pytest.mark.parametrize("segments, kappa", [
+        (1, 50.0), (2, 1e6), (4, 3.0), (14, 60.0), (60, 94.5), (60, 1e3), (400, 20.0),
+    ])
+    def test_budget_stops_on_a_prefix_of_the_full_search(self, segments, kappa):
+        full, (least, _) = self.scale_points(segments, kappa, None)
+        heights = sorted({max(gate.exact_errors(g, gate.AbsorberRates(x1, x2)))
+                          for g, x1, x2 in full})
+        # a budget at every evaluated height, just below the least and above all
+        budgets = heights + [least * (1 - 1e-9), heights[-1] * 2]
+        stopped_early = False
+        for budget in budgets:
+            points, (best, _) = self.scale_points(segments, kappa, budget)
+            assert points == full[:len(points)]
+            assert (best <= budget) == (least <= budget)
+            if best > budget:
+                assert points == full
+            stopped_early |= len(points) < len(full)
+        assert stopped_early
 
     # the grid on which the crossing bisection gives the golden-section kappa
     # bit for bit (the two scale searches' minima differ by up to 3e-7)
     GOLDEN_GRID_N = list(range(1, 60, 3)) + [100, 200, 400]
 
-    @pytest.mark.parametrize("p", [0.05, 0.12, 0.2, 0.33, 0.45, 0.9])
-    def test_kappa_equals_golden_section_search(self, p):
+    @staticmethod
+    def kappa_outcomes(p, grid, min_error):
+        """Check the lockstep exact_free kappa of every N in grid against
+        ref_min_kappa with the given scale search; the outcomes seen."""
         config = SearchConfig()
         got = optimizer._lockstep([optimizer._kappa_steps(n, p, "exact_free", config)
-                                   for n in self.GOLDEN_GRID_N])
-        for n, kappa in zip(self.GOLDEN_GRID_N, got):
-            golden = ref_min_kappa(n, p, "exact_free", config, golden_min_error)
-            if golden is None:
+                                   for n in grid])
+        outcomes = set()
+        for n, kappa in zip(grid, got):
+            ref = ref_min_kappa(n, p, "exact_free", config, min_error)
+            if ref is None:
                 assert isinstance(kappa, InfeasibleDesignError)
+                outcomes.add("infeasible")
             else:
-                assert kappa == golden
+                assert kappa == ref
+                outcomes.add("feasible")
+        return outcomes
+
+    @pytest.mark.parametrize("p", [0.05, 0.12, 0.2, 0.33, 0.45, 0.9])
+    def test_kappa_equals_full_scale_search(self, p):
+        # the lockstep search stops each feasibility check at the first point
+        # within p; the reference runs every scale search to its end.  N = 2
+        # is infeasible even at p = 0.9.
+        outcomes = self.kappa_outcomes(p, [2] + self.GOLDEN_GRID_N, ref_min_error)
+        assert outcomes == {"infeasible", "feasible"}
+
+    @pytest.mark.parametrize("p", [0.05, 0.12, 0.2, 0.33, 0.45, 0.9])
+    def test_kappa_equals_golden_section_search(self, p):
+        self.kappa_outcomes(p, self.GOLDEN_GRID_N, golden_min_error)
 
 
 class TestSegmentProbabilities:
