@@ -20,7 +20,8 @@ from zenogate import cli
 DATA = pathlib.Path(__file__).parent / "data" / "cli_golden.json"
 
 # name -> argv; every command, both branch counts, every design strategy
-# with n_max 200 and 400, all four enhance mechanisms, csv and json
+# with n_max 200 and 400, all four enhance mechanisms, csv and json, and the
+# atom at four wavelengths
 CONFIGS = {
     "gate_2": ["gate", "--branches", "2", "--N", "1000", "--kappa", "1000"],
     "gate_2_control": ["gate", "--branches", "2", "--N", "1000", "--kappa", "1000", "--control"],
@@ -50,6 +51,13 @@ CONFIGS = {
     "enhance_random_phase": ["enhance", "--mechanism", "random_phase", "--S", "500",
                              "--trials", "50", "--seed", "7"],
     "enhance_pump_json": ["enhance", "--mechanism", "pump", "--format", "json"],
+    # the atom at other wavelengths, with a given beam area and dipole length
+    "absorber_780_area_dipole": ["absorber", "--wavelength", "780", "--area", "90000",
+                                 "--dipole-length", "0.4"],
+    "absorber_1064_f_lambda_json": ["absorber", "--wavelength", "1064", "--f", "0.5",
+                                    "--lambda-scheme", "--format", "json"],
+    "tables_420_delta_control": ["tables", "--wavelength", "420", "--delta-control", "5e13"],
+    "enhance_pump_650": ["enhance", "--mechanism", "pump", "--wavelength", "650"],
 }
 
 
