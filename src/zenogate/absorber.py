@@ -26,6 +26,8 @@ from .numerics import (
     HBAR_EV_S,
     HBARC_EV_NM,
     WATT_PER_CM2_EV4,
+    Quantity,
+    convert,
 )
 
 FOUR_PI_ALPHA = 4.0 * math.pi * ALPHA_QED
@@ -95,7 +97,7 @@ class AtomSpec:
         omega2 = e12 - detuning_control
         e23 = omega1 + omega2 - e12
         if beam_area is None:
-            beam_area = (math.pi / omega1) ** 2  # (lambda/2)^2 with lambda = 2*pi/omega
+            beam_area = diffraction_limited_area(convert(Quantity(omega1, "eV"), "nm").value)
         return cls(
             e12=e12,
             e23=e23,
@@ -113,19 +115,23 @@ class AtomSpec:
         return replace(self, coupling_ratio=coupling_ratio, lambda_scheme=True)
 
 
+def diffraction_limited_area(wavelength_nm: float) -> float:
+    """Beam cross-section (lambda/2)^2 at the diffraction limit, in 1/eV^2."""
+    half = 0.5 * wavelength_nm / HBARC_EV_NM
+    return half * half
+
+
 def optical_example(
     wavelength_nm: float = 500.0,
     detuning_inv_s: float = 3e12,
     detuning_control_inv_s: float = 3e13,
 ) -> AtomSpec:
     """Optical-regime example: 500 nm photons focused to the diffraction limit."""
-    omega1 = 2.0 * math.pi * HBARC_EV_NM / wavelength_nm  # = hc/lambda in eV
-    lam_half = 0.5 * wavelength_nm / HBARC_EV_NM
     return AtomSpec.from_photon(
-        omega1=omega1,
+        omega1=convert(Quantity(wavelength_nm, "nm"), "eV").value,
         detuning=detuning_inv_s * HBAR_EV_S,
         detuning_control=detuning_control_inv_s * HBAR_EV_S,
-        beam_area=lam_half**2,
+        beam_area=diffraction_limited_area(wavelength_nm),
     )
 
 

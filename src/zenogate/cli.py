@@ -212,9 +212,7 @@ def _canonical_config(command: str, params: dict, fmt: str, output, seed: int) -
             continue
         if spec.kind == "flag":
             entries[name] = {"value": int(value), "unit": ""}
-        elif spec.kind == "choice":
-            entries[name] = {"value": value, "unit": ""}
-        elif spec.kind == "int":
+        elif spec.kind in ("choice", "int"):
             entries[name] = {"value": value, "unit": ""}
         else:
             cli_value = convert(Quantity(value, spec.natural_unit or ""), spec.cli_unit or "").value
@@ -236,24 +234,39 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def emit(columns, rows, fmt, output, provenance) -> str:
-    """Serialize rows; columns is a list of (name, unit) pairs."""
+# unit of every output column that has one; the others are dimensionless
+_COLUMN_UNITS = {
+    "epsilon": "rad",
+    **dict.fromkeys(("g12", "g23", "g13_bound", "g11", "g_eff"), "natural"),
+    **dict.fromkeys((
+        "survival", "p_error_exact", "p_error_leading", "p_target",
+        "p1_exact", "p2_exact", "p1_approx", "p2_approx", "p1_segment", "p2_segment",
+        "p_2gamma", "p_1gamma", "p_1gamma_simplified", "p_1gamma_absorption",
+        "p_1gamma_scatter",
+    ), "probability"),
+}
+
+
+def emit(rows, fmt, output, provenance) -> str:
+    """Serialize rows; the columns are the keys of the first row, in order."""
+    columns = list(rows[0]) if rows else []
+    units = {n: _COLUMN_UNITS.get(n, "dimensionless") for n in columns}
     if fmt == "csv":
         lines = [f"# zenogate {provenance['version']}"]
         lines.append(f"# seed={provenance['seed']}")
         lines.append(f"# config_hash={provenance['config_hash']}")
-        lines.append("# units: " + ",".join(f"{n}={u or 'dimensionless'}" for n, u in columns))
-        lines.append(",".join(n for n, _ in columns))
+        lines.append("# units: " + ",".join(f"{n}={u}" for n, u in units.items()))
+        lines.append(",".join(columns))
         for row in rows:
-            lines.append(",".join(_fmt(row[n]) for n, _ in columns))
+            lines.append(",".join(_fmt(row[n]) for n in columns))
         text = "\n".join(lines) + "\n"
     else:
         doc = {
             "provenance": provenance,
-            "units": {n: (u or "dimensionless") for n, u in columns},
+            "units": units,
             "rows": [
                 {n: (float(f"{row[n]:.12g}") if isinstance(row[n], float) else row[n])
-                 for n, _ in columns}
+                 for n in columns}
                 for row in rows
             ],
         }
@@ -270,8 +283,7 @@ def _atom_from_params(p: dict) -> absorber.AtomSpec:
     omega1 = convert(Quantity(p["wavelength"], "nm"), "eV").value
     area = p["area"]
     if area is None:
-        half = 0.5 * p["wavelength"] / numerics.HBARC_EV_NM
-        area = half * half
+        area = absorber.diffraction_limited_area(p["wavelength"])
     return absorber.AtomSpec.from_photon(
         omega1=omega1,
         detuning=p["delta"],
@@ -284,8 +296,7 @@ def _atom_from_params(p: dict) -> absorber.AtomSpec:
 
 
 def _run_demo(p, seed):
-    cols = [("segments", ""), ("survival", "probability")]
-    return cols, [{"segments": p["N"], "survival": gate.zeno_demo_survival(p["N"])}]
+    return [{"segments": p["N"], "survival": gate.zeno_demo_survival(p["N"])}]
 
 
 def _run_gate(p, seed):
@@ -302,12 +313,7 @@ def _run_gate(p, seed):
     p1, p2 = gate.exact_errors(geom, rates)
     a1, a2 = gate.asymptotic_errors(geom, rates, "leading")
     exact, approx = (p2, a2) if p["control"] else (p1, a1)
-    cols = [
-        ("branches", ""), ("segments", ""), ("epsilon", "rad"),
-        ("xi_1gamma", ""), ("xi_2gamma", ""), ("control", ""),
-        ("p_error_exact", "probability"), ("p_error_leading", "probability"),
-    ]
-    return cols, [{
+    return [{
         "branches": branches, "segments": n, "epsilon": geom.angle,
         "xi_1gamma": rates.one_photon, "xi_2gamma": rates.two_photon,
         "control": p["control"], "p_error_exact": exact, "p_error_leading": approx,
@@ -320,14 +326,7 @@ def _run_absorber(p, seed):
     p2 = absorber.two_photon_absorption_prob(spec)
     p1 = absorber.one_photon_scattering_prob(spec)
     p1s = absorber.one_photon_scattering_prob(spec, include_control=False, include_a2_term=False)
-    cols = [
-        ("p_2gamma", "probability"), ("p_1gamma", "probability"),
-        ("p_1gamma_simplified", "probability"),
-        ("kappa0", ""), ("kappa0_measured", ""),
-        ("g12", "natural"), ("g23", "natural"), ("g13_bound", "natural"),
-        ("g11", "natural"), ("g_eff", "natural"),
-    ]
-    return cols, [{
+    return [{
         "p_2gamma": p2, "p_1gamma": p1, "p_1gamma_simplified": p1s,
         "kappa0": absorber.absorption_ratio(spec),
         "kappa0_measured": absorber.measured_absorption_ratio(spec),
@@ -344,26 +343,21 @@ def _run_enhance(p, seed):
             tau=p["tau"], g13=p["g13"], g12=p["g12"], g11=p["g11"],
         )
         probs = enhancement.multipass_probabilities(spec)
-        cols = [("passes", ""), ("p_2gamma", "probability"),
-                ("p_1gamma_absorption", "probability"), ("p_1gamma_scatter", "probability")]
-        return cols, [{
+        return [{
             "passes": p["n"], "p_2gamma": probs.two_photon,
             "p_1gamma_absorption": probs.one_photon_absorption,
             "p_1gamma_scatter": probs.one_photon_scatter,
         }]
     if mech == "dicke":
         two, bound = enhancement.dicke_enhancement(p["S"], p["s"])
-        cols = [("emitters", ""), ("excited", ""),
-                ("two_photon_factor", ""), ("scatter_factor_bound", "")]
-        return cols, [{"emitters": p["S"], "excited": p["s"],
-                       "two_photon_factor": two, "scatter_factor_bound": bound}]
+        return [{"emitters": p["S"], "excited": p["s"],
+                 "two_photon_factor": two, "scatter_factor_bound": bound}]
     if mech == "random_phase":
         mean, err = enhancement.random_phase_sum(
             p["S"], np.array([p["dkx"], p["dky"], p["dkz"]]), p["box"], seed, p["trials"]
         )
-        cols = [("emitters", ""), ("trials", ""), ("mean_sq_sum", ""), ("stderr", "")]
-        return cols, [{"emitters": p["S"], "trials": p["trials"],
-                       "mean_sq_sum": mean, "stderr": err}]
+        return [{"emitters": p["S"], "trials": p["trials"],
+                 "mean_sq_sum": mean, "stderr": err}]
     # pump
     atom = absorber.AtomSpec.from_photon(
         omega1=convert(Quantity(p["wavelength"], "nm"), "eV").value,
@@ -372,10 +366,9 @@ def _run_enhance(p, seed):
     pump = enhancement.PumpSpec.balanced(atom, p["intensity"], p["delta_prime"],
                                          emitter_count=p["S"])
     state = enhancement.pump_steady_state(pump)
-    cols = [("s_over_S", ""), ("coherent_amplitude", ""), ("pump_safe", "")]
-    return cols, [{"s_over_S": state.excited_fraction,
-                   "coherent_amplitude": abs(state.coherent_amplitude),
-                   "pump_safe": state.pump_safe}]
+    return [{"s_over_S": state.excited_fraction,
+             "coherent_amplitude": abs(state.coherent_amplitude),
+             "pump_safe": state.pump_safe}]
 
 
 def _design_rows(points):
@@ -391,26 +384,16 @@ def _design_rows(points):
     return rows
 
 
-_DESIGN_COLS = [
-    ("p_target", "probability"), ("segments", ""), ("kappa", ""),
-    ("xi_1gamma", ""), ("xi_2gamma", ""),
-    ("p1_exact", "probability"), ("p2_exact", "probability"),
-    ("p2_segment", "probability"), ("p1_segment", "probability"),
-    ("enhancement", ""),
-]
-
-
 def _run_design(p, seed):
     config = optimizer.SearchConfig(kappa_max=p["kappa_max"], n_max=p["n_max"])
     strategy = None if p["strategy"] == "all" else p["strategy"]
     points = optimizer.search_feasible_nk(p["p_target"], strategy, config=config)
-    return _DESIGN_COLS, _design_rows(points)
+    return _design_rows(points)
 
 
 def _run_tables(p, seed):
     spec = _atom_from_params(p)
     tables = optimizer.generate_tables(spec)
-    cols = [("table", "")] + _DESIGN_COLS
     rows = []
     for tid, points in (
         (1, tables.feasibility), (2, tables.small_n),
@@ -418,18 +401,12 @@ def _run_tables(p, seed):
     ):
         for row in _design_rows(points):
             rows.append({"table": tid, **row})
-    return cols, rows
+    return rows
 
 
 def _run_curve(p, seed):
     points = optimizer.error_curve(p["kappa"], p["N"], p["xi2_max"], p["samples"], p["branches"])
-    cols = [("xi_2gamma", ""), ("p1_exact", "probability"), ("p2_exact", "probability"),
-            ("p1_approx", "probability"), ("p2_approx", "probability")]
-    rows = [{
-        "xi_2gamma": pt.xi_2gamma, "p1_exact": pt.p1_exact, "p2_exact": pt.p2_exact,
-        "p1_approx": pt.p1_approx, "p2_approx": pt.p2_approx,
-    } for pt in points]
-    return cols, rows
+    return [vars(pt) for pt in points]   # the CurvePoint fields, in order
 
 
 _RUNNERS = {
@@ -510,8 +487,7 @@ def run(argv) -> int:
     ).hexdigest()[:12]
     provenance = {"version": __version__, "seed": seed, "config_hash": config_hash}
 
-    columns, rows = _RUNNERS[command](params, seed)
-    emit(columns, rows, fmt, output, provenance)
+    emit(_RUNNERS[command](params, seed), fmt, output, provenance)
     return 0
 
 

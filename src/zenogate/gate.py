@@ -29,6 +29,12 @@ class DegenerateRootsError(ValueError):
     """Closed-form roots coincide; caller should fall back to mat_power."""
 
 
+def _check_segments(segments) -> None:
+    # NumPy integers are accepted; NaN, 2.5 and 5.0 are not
+    if not isinstance(segments, (int, np.integer)) or segments < 1:
+        raise ValueError("segments must be a positive integer")
+
+
 def default_angle(branches: int, segments: int) -> float:
     """Beam-splitter angle that completes the branch transfer in N segments."""
     if branches == 2:
@@ -47,9 +53,7 @@ class GateGeometry:
     def __post_init__(self):
         if self.branches not in (2, 3):
             raise ValueError("branches must be 2 or 3")
-        # NumPy integers are accepted; 2.5 (and 5.0) are not
-        if not isinstance(self.segments, (int, np.integer)) or self.segments < 1:
-            raise ValueError("segments must be a positive integer")
+        _check_segments(self.segments)
         object.__setattr__(self, "segments", int(self.segments))
         if self.angle is None:
             object.__setattr__(self, "angle", default_angle(self.branches, self.segments))
@@ -443,11 +447,9 @@ def franson_errors(rates: AbsorberRates, segments: int) -> tuple[float, float]:
 
 
 def franson_optimal_rates(kappa: float, segments: int) -> AbsorberRates:
-    """Rates minimizing the dominant two-photon error of the reference gate."""
-    if kappa <= 0.0:
-        raise ValueError("kappa must be positive")
-    x1 = math.pi / (math.sqrt(kappa) * SQRT2 * segments)
-    return AbsorberRates(one_photon=x1, two_photon=kappa * x1)
+    """Rates minimizing the dominant two-photon error of the reference gate:
+    the balanced rates of the two-branch gate."""
+    return optimal_rates(kappa, segments, 2)[0]
 
 
 def franson_overall_error(kappa: float) -> float:
@@ -468,6 +470,7 @@ def control_loss_adjusted(kappa: float, segments: int, control_rate: float) -> f
     With xi_c as large as the balanced three-branch xi_1gamma the total is
     five times the lossless-control value.
     """
+    _check_segments(segments)
     if not control_rate >= 0.0:  # also rejects NaN
         raise ValueError("control loss rate must be >= 0")
     return overall_error(kappa) + 2.0 * segments * control_rate
@@ -475,9 +478,7 @@ def control_loss_adjusted(kappa: float, segments: int, control_rate: float) -> f
 
 def zeno_demo_survival(segments: int) -> float:
     """Double-well demo: probability cos(pi/2N)**2N of staying put under N measurements."""
-    # NumPy integers are accepted; NaN, 2.5 and 5.0 are not
-    if not isinstance(segments, (int, np.integer)) or segments < 1:
-        raise ValueError("segments must be a positive integer")
+    _check_segments(segments)
     return math.cos(math.pi / (2.0 * segments)) ** (2 * segments)
 
 

@@ -130,7 +130,7 @@ def convert(q: Quantity, target: str) -> Quantity:
     src_kind, src_scale = _UNITS[q.unit]
     dst_kind, dst_scale = _UNITS[target]
     if src_kind == dst_kind:
-        return Quantity(q.value * src_scale / dst_scale, target)
+        return Quantity(q.value * (src_scale / dst_scale), target)  # exact for equal scales
 
     base = q.value * src_scale  # natural base unit of src_kind
     pair = (src_kind, dst_kind)
@@ -144,23 +144,11 @@ def convert(q: Quantity, target: str) -> Quantity:
     elif pair == ("angular_frequency", "length"):
         lam_m = 2.0 * np.pi * C_M_PER_S / base
         out = lam_m * 1e9 / HBARC_EV_NM
-    elif pair == ("length", "energy"):
-        return convert(convert(q, "1/s"), target)
-    elif pair == ("energy", "length"):
+    elif pair in (("length", "energy"), ("energy", "length")):
         return convert(convert(q, "1/s"), target)
     else:
         raise UnitError(f"no conversion from {src_kind} to {dst_kind}")
     return Quantity(out / dst_scale, target)
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    alpha_qed: float = ALPHA_QED
-    bohr_radius: Quantity = Quantity(BOHR_RADIUS_NM, "nm")
-    electron_mass: Quantity = Quantity(ELECTRON_MASS_EV, "eV")
-
-
-CONSTANTS = PhysicalConstants()
 
 
 def _check_matrix(m: np.ndarray) -> np.ndarray:
@@ -172,32 +160,17 @@ def _check_matrix(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def mat_power(m: np.ndarray, n: int, exponents=None) -> np.ndarray:
+def mat_power(m: np.ndarray, n: int) -> np.ndarray:
     """m**n for a 2x2 or 3x3 matrix, or for every matrix of a (B, k, k) stack.
 
     Binary exponentiation that starts from the lowest set bit of n, so no
     identity factor enters.  The dtype of m is kept: real stays real.  n = 0
     returns the identity; n must not be negative.
-
-    For a stack, `exponents` may give each matrix its own power, an integer
-    in [0, n]; by default every matrix gets n.  The squarings up to n are
-    shared, and at each bit only the matrices whose exponent has that bit are
-    multiplied in.  Every matrix goes through the same products in the same
-    order as on its own, so slice b equals mat_power(m[b], exponents[b]) bit
-    for bit.  With exponents given, n is their largest value: the benchmark
-    tracer (benchmarks/tracing.py) counts a call's products from int(n).
     """
     m = _check_matrix(m)
     if n < 0:
         raise ValueError("negative matrix powers are not supported")
     k = int(n)
-    if exponents is not None:
-        ks = np.asarray(exponents)
-        if m.ndim != 3 or ks.shape != m.shape[:1] or ks.dtype.kind not in "iu":
-            raise ValueError("exponents must be one integer per matrix of a stack")
-        if ks.min(initial=0) < 0 or ks.max(initial=0) > k:
-            raise ValueError("exponents must lie in [0, n]")
-        return _power_each(m, k, ks)
     if m.ndim == 3:
         return _power_each(m, k, np.array([k]))
     return _power_one(m, k)
@@ -220,7 +193,13 @@ def _power_one(m: np.ndarray, n: int) -> np.ndarray:
 
 def _power_each(m: np.ndarray, n: int, ks: np.ndarray) -> np.ndarray:
     """Powers of a stack of square matrices of any order (no checks): ks holds
-    one power in [0, n] per matrix, or one for all."""
+    one power in [0, n] per matrix, or one for all.
+
+    The squarings up to n are shared, and at each bit only the matrices whose
+    power has that bit are multiplied in.  Every matrix goes through the same
+    products in the same order as on its own, so slice b equals
+    mat_power(m[b], ks[b]) bit for bit.
+    """
     # for every bit j (rows) and power (columns): does the matrix multiply
     # m**(2**j) into its product (more), or does its product start there
     # (first, its lowest set bit)?
@@ -258,31 +237,6 @@ def _power_each(m: np.ndarray, n: int, ks: np.ndarray) -> np.ndarray:
     return result
 
 
-def golden_steps(lo: float, hi: float, tol: float):
-    """Golden-section search on [lo, hi] as a coroutine.
-
-    Yields each point to evaluate, is sent the objective there, and returns
-    the minimum's location once the bracket is narrower than tol.  Driving it
-    by hand lets a caller evaluate many searches side by side.
-    """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = yield c
-    fd = yield d
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = yield c
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = yield d
-    return 0.5 * (a + b)
-
-
 def bisect_steps(lo: float, hi: float, tol: float, max_steps: int | None = None):
     """Bisection on the sign of a function f as a coroutine.
 
@@ -311,7 +265,7 @@ def bisect_steps(lo: float, hi: float, tol: float, max_steps: int | None = None)
 
 
 def run_steps(steps, f):
-    """Drive a search coroutine (golden_steps, bisect_steps) with f; its result."""
+    """Drive a search coroutine such as bisect_steps with f; its result."""
     x = next(steps)
     while True:
         try:
@@ -321,8 +275,23 @@ def run_steps(steps, f):
 
 
 def golden_minimize(f, lo: float, hi: float, tol: float) -> float:
-    """Golden-section minimum of a unimodal scalar function on [lo, hi]."""
-    return run_steps(golden_steps(lo, hi, tol), f)
+    """Golden-section minimum of a unimodal scalar function on [lo, hi]:
+    the midpoint of the first bracket no wider than tol."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
 
 
 def rotation2(angle: float) -> np.ndarray:

@@ -106,11 +106,9 @@ def _balanced(geometry: gate.GateGeometry, kappa: float) -> tuple[float, float]:
     return rates.one_photon, rates.two_photon
 
 
-def _max_error_steps(geometry: gate.GateGeometry, kappa: float, scale: float | None = None):
-    """Coroutine form of exact_max_error."""
+def _max_error_steps(geometry: gate.GateGeometry, kappa: float):
+    """Coroutine: max(P1, P2) of the three-branch gate at the balanced rates."""
     x1, x2 = _balanced(geometry, kappa)
-    if scale is not None:
-        x1, x2 = scale * x1, scale * x2
     p1, p2 = yield geometry, x1, x2
     return max(p1, p2)
 
@@ -145,15 +143,6 @@ def _scale_steps(geometry: gate.GateGeometry, kappa: float, config: SearchConfig
             log_scale = search.send(p1 - p2)
         except StopIteration:
             return best
-
-
-def exact_max_error(segments: int, kappa: float, scale: float | None = None) -> float:
-    """max(P1, P2) of the three-branch gate at fixed kappa.
-
-    scale multiplies the balanced rates; scale=None means the balanced rates
-    themselves.
-    """
-    return _lockstep([_max_error_steps(gate.GateGeometry(3, segments), kappa, scale)])[0]
 
 
 def minimized_max_error(segments: int, kappa: float, config: SearchConfig = SearchConfig()) -> tuple[float, float]:
@@ -219,11 +208,7 @@ def min_kappa(
     config: SearchConfig = SearchConfig(),
 ) -> float:
     """Minimal kappa reaching the target error at fixed N (log-bisection)."""
-    _check_search(p_target, error_model)
-    kappa = _lockstep([_kappa_steps(segments, p_target, error_model, config)])[0]
-    if isinstance(kappa, InfeasibleDesignError):
-        raise kappa
-    return kappa
+    return _KappaScan(p_target, error_model, config).kappa(segments)
 
 
 def segment_probabilities(segments: int, kappa: float) -> tuple[float, float]:
@@ -263,9 +248,7 @@ def design_point(
     config: SearchConfig = SearchConfig(),
 ) -> DesignPoint:
     """Search kappa at fixed N and assemble the certified design point."""
-    def kappa_at(n):
-        return min_kappa(n, p_target, error_model, config)
-
+    kappa_at = _KappaScan(p_target, error_model, config).kappa
     return _certify(p_target, segments, kappa_at, spec, error_model, config)
 
 
@@ -311,7 +294,8 @@ _SCAN_CHUNK = 16
 
 
 class _KappaScan:
-    """Feasibility and min_kappa(N) of one design search, kept once found.
+    """Feasibility and min_kappa(N) of one design search, kept once found;
+    min_kappa and design_point use it for their one N.
 
     A scan step that misses N searches it in lockstep with the next
     _SCAN_CHUNK - 1 N above it (up to n_max), which the scan asks for next.
@@ -325,8 +309,9 @@ class _KappaScan:
 
     def _fill(self, n: int, table: dict, search, size: int) -> None:
         if n not in table:
+            # n itself also past n_max, which min_kappa accepts
             top = min(n + size, self.config.n_max + 1)
-            chunk = [m for m in range(n, top) if m not in table]
+            chunk = [n] + [m for m in range(n + 1, top) if m not in table]
             table.update(zip(chunk, _lockstep([search(m) for m in chunk])))
 
     def feasible(self, n: int) -> bool:

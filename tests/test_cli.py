@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from zenogate import cli
+from zenogate import absorber, cli
 from zenogate.gate import GateGeometry, optimal_rates, segment_matrix
 
 
@@ -183,6 +183,14 @@ class TestAbsorberCommand:
                             "--delta-control", "3e10", "--f", "0.03", "--lambda-scheme")
         _, rows = parse_csv(out)
         assert 1e-8 <= float(rows[0]["p_2gamma"]) <= 1e-6
+
+    @pytest.mark.parametrize("given", [{}, {"wavelength": 780.0, "delta": 2e12, "delta_control": 4e13},
+                                       {"wavelength": 1064.0, "delta": 5e11, "delta_control": 6e12}])
+    def test_atom_is_the_optical_example(self, given):
+        # one diffraction-limit convention: the same atom field for field, bit for bit
+        raw = {name: (value, None) for name, value in given.items()}
+        atom = cli._atom_from_params(cli._effective_parameters("absorber", raw))
+        assert atom == absorber.optical_example(*given.values())
 
 
 class TestEnhanceCommand:

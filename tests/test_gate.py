@@ -648,6 +648,12 @@ class TestControlLoss:
         with pytest.raises(ValueError, match="kappa must be positive"):
             control_loss_adjusted(math.nan, 10, 0.0)
 
+    @pytest.mark.parametrize("segments", [math.nan, 2.5, 0, -3])
+    def test_segment_count_must_be_a_positive_integer(self, segments):
+        # -3 gave 0.09929, below the lossless 0.09935; NaN gave NaN
+        with pytest.raises(ValueError, match="segments must be a positive integer"):
+            control_loss_adjusted(500.0, segments, 1e-5)
+
 
 class TestZenoDemo:
     def test_single_measurement_kills_survival(self):

@@ -6,16 +6,14 @@ import numpy as np
 import pytest
 
 from zenogate.numerics import (
-    ALPHA_QED,
     C_M_PER_S,
-    CONSTANTS,
     HBAR_EV_S,
     Quantity,
     UnitError,
+    _power_each,
     bisect_steps,
     convert,
     golden_minimize,
-    golden_steps,
     mat_power,
     rotation2,
     run_steps,
@@ -63,12 +61,6 @@ class TestMatPower:
             mat_power(np.zeros((5, 4, 4)), 2)
         with pytest.raises(ValueError):
             mat_power(np.zeros((2, 5, 3, 3)), 2)
-        stack = np.zeros((3, 2, 2))
-        for n, each in ((5, [1, 2]), (5, [1, 2, 6]), (5, [1, -1, 2]), (5, [1.0, 2.0, 3.0])):
-            with pytest.raises(ValueError):
-                mat_power(stack, n, each)
-        with pytest.raises(ValueError):
-            mat_power(np.eye(2), 3, [3])
 
     def test_stack_equals_power_of_each_slice(self):
         rng = np.random.default_rng(9)
@@ -84,7 +76,7 @@ class TestMatPower:
             # products as on its own, so equal bit for bit
             for n, each in ((1000, [0, 1, 2, 7, 33, 1000]), (40, [40, 39, 17, 16, 3, 0]),
                             (64, [5, 5, 5, 5, 5, 5])):
-                got = mat_power(stack, n, each)
+                got = _power_each(stack, n, np.array(each))
                 assert got.shape == stack.shape
                 for b in range(len(stack)):
                     assert np.array_equal(got[b], mat_power(stack[b], each[b]))
@@ -105,8 +97,8 @@ class TestMatPower:
         # the stack loop reuses its work arrays, never the input's memory
         stack = np.stack([m, m.T, -m])
         before = stack.copy()
-        for n, each in ((1, None), (13, None), (13, [13, 0, 6])):
-            out = mat_power(stack, n, each)
+        for out in (mat_power(stack, 1), mat_power(stack, 13),
+                    _power_each(stack, 13, np.array([13, 0, 6]))):
             assert np.array_equal(stack, before) and not np.shares_memory(out, stack)
 
 
@@ -114,20 +106,6 @@ class TestGoldenMinimize:
     def test_parabola_minimum(self):
         best = golden_minimize(lambda x: (x - 0.3) ** 2, -1.0, 2.0, 1e-10)
         assert best == pytest.approx(0.3, abs=1e-9)
-
-    def test_steps_driven_by_hand_match(self):
-        def f(x):
-            return abs(x - 0.7) + 0.1 * x * x
-
-        points = []
-        steps = golden_steps(0.0, 3.0, 1e-8)
-        x = next(steps)
-        with pytest.raises(StopIteration) as done:
-            while True:
-                points.append(x)
-                x = steps.send(f(x))
-        assert done.value.value == golden_minimize(f, 0.0, 3.0, 1e-8)
-        assert len(points) == len(set(points)) > 30
 
 
 class TestBisectSteps:
@@ -163,12 +141,6 @@ class TestBisectSteps:
         assert self.points(lambda x: x - 1.0, 1.0, hi, 0.0) == ((1.0, hi), [1.0, hi])
 
 
-class TestConstants:
-    def test_fine_structure_constant(self):
-        assert abs(CONSTANTS.alpha_qed - 7.2973525e-3) <= 1e-9
-        assert CONSTANTS.alpha_qed == ALPHA_QED
-
-
 class TestConvert:
     def test_wavelength_to_angular_frequency(self):
         omega = convert(Quantity(500.0, "nm"), "1/s").value
@@ -183,6 +155,8 @@ class TestConvert:
     def test_identity_conversion(self):
         q = Quantity(2.5, "eV")
         assert convert(q, "eV").value == 2.5
+        # a unit with a rounded scale (1/hbar*c) still converts to itself exactly
+        assert convert(Quantity(500.0, "nm"), "nm").value == 500.0
 
     def test_round_trip(self):
         for unit, target in [
