@@ -184,8 +184,11 @@ class TestAbsorberCommand:
         _, rows = parse_csv(out)
         assert 1e-8 <= float(rows[0]["p_2gamma"]) <= 1e-6
 
-    @pytest.mark.parametrize("given", [{}, {"wavelength": 780.0, "delta": 2e12, "delta_control": 4e13},
-                                       {"wavelength": 1064.0, "delta": 5e11, "delta_control": 6e12}])
+    @pytest.mark.parametrize("given", [
+        {},
+        {"wavelength": 780.0, "delta": 2e12, "delta_control": 4e13},
+        {"wavelength": 1064.0, "delta": 5e11, "delta_control": 6e12},
+    ])
     def test_atom_is_the_optical_example(self, given):
         # one diffraction-limit convention: the same atom field for field, bit for bit
         raw = {name: (value, None) for name, value in given.items()}
