@@ -26,7 +26,6 @@ from .numerics import (
     HBAR_EV_S,
     HBARC_EV_NM,
     WATT_PER_CM2_EV4,
-    Quantity,
     convert,
 )
 
@@ -97,7 +96,7 @@ class AtomSpec:
         omega2 = e12 - detuning_control
         e23 = omega1 + omega2 - e12
         if beam_area is None:
-            beam_area = diffraction_limited_area(convert(Quantity(omega1, "eV"), "nm").value)
+            beam_area = diffraction_limited_area(convert(omega1, "eV", "nm"))
         return cls(
             e12=e12,
             e23=e23,
@@ -128,7 +127,7 @@ def optical_example(
 ) -> AtomSpec:
     """Optical-regime example: 500 nm photons focused to the diffraction limit."""
     return AtomSpec.from_photon(
-        omega1=convert(Quantity(wavelength_nm, "nm"), "eV").value,
+        omega1=convert(wavelength_nm, "nm", "eV"),
         detuning=detuning_inv_s * HBAR_EV_S,
         detuning_control=detuning_control_inv_s * HBAR_EV_S,
         beam_area=diffraction_limited_area(wavelength_nm),
@@ -313,9 +312,9 @@ def pump_detuning_threshold(intensity: float, dipole_length: float) -> float:
     return math.sqrt(FOUR_PI_ALPHA * intensity) * dipole_length
 
 
-def pump_safe(detuning: float, intensity: float, dipole_length: float, margin: float = 10.0) -> bool:
-    """Whether Delta' clears the middle-level threshold by the given factor."""
-    return detuning >= margin * pump_detuning_threshold(intensity, dipole_length)
+def pump_safe(detuning: float, intensity: float, dipole_length: float) -> bool:
+    """Whether Delta' clears the middle-level threshold by a factor of ten."""
+    return detuning >= 10.0 * pump_detuning_threshold(intensity, dipole_length)
 
 
 def intensity_from_si(watts_per_cm2: float) -> float:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, absorber, enhancement, gate, numerics, optimizer
-from .numerics import Quantity, UnitError, convert, unit_kind
+from .numerics import UnitError, convert, unit_kind
 
 FORMATS = ("csv", "json")
 
@@ -146,7 +146,7 @@ def _coerce(command: str, name: str, value, unit: str | None):
     if kind != spec.kind:
         raise CliError(f"parameter {name!r} expects kind {spec.kind!r}, got {kind!r} ({unit!r})")
     target = spec.natural_unit or unit
-    number = convert(Quantity(float(value), unit), target).value
+    number = convert(float(value), unit, target)
     # a wavelength of 0 has no frequency; NaN or inf lengths give no atom
     if kind == "length" and not 0.0 < number < math.inf:
         raise CliError(f"parameter {name!r} must be a positive finite length")
@@ -215,7 +215,7 @@ def _canonical_config(command: str, params: dict, fmt: str, output, seed: int) -
         elif spec.kind in ("choice", "int"):
             entries[name] = {"value": value, "unit": ""}
         else:
-            cli_value = convert(Quantity(value, spec.natural_unit or ""), spec.cli_unit or "").value
+            cli_value = convert(value, spec.natural_unit or "", spec.cli_unit or "")
             entries[name] = {"value": float(f"{cli_value:.12g}"), "unit": spec.cli_unit or ""}
     return {
         "command": command,
@@ -280,7 +280,7 @@ def emit(rows, fmt, output, provenance) -> str:
 
 
 def _atom_from_params(p: dict) -> absorber.AtomSpec:
-    omega1 = convert(Quantity(p["wavelength"], "nm"), "eV").value
+    omega1 = convert(p["wavelength"], "nm", "eV")
     area = p["area"]
     if area is None:
         area = absorber.diffraction_limited_area(p["wavelength"])
@@ -316,7 +316,9 @@ def _run_gate(p, seed):
     return [{
         "branches": branches, "segments": n, "epsilon": geom.angle,
         "xi_1gamma": rates.one_photon, "xi_2gamma": rates.two_photon,
-        "control": p["control"], "p_error_exact": exact, "p_error_leading": approx,
+        # the truncations exceed 1 where the rates leave their regime (a
+        # perfect absorber, no absorber): clipped as in error_curve
+        "control": p["control"], "p_error_exact": exact, "p_error_leading": min(approx, 1.0),
     }]
 
 
@@ -360,7 +362,7 @@ def _run_enhance(p, seed):
                  "mean_sq_sum": mean, "stderr": err}]
     # pump
     atom = absorber.AtomSpec.from_photon(
-        omega1=convert(Quantity(p["wavelength"], "nm"), "eV").value,
+        omega1=convert(p["wavelength"], "nm", "eV"),
         detuning=p["delta"],
     )
     pump = enhancement.PumpSpec.balanced(atom, p["intensity"], p["delta_prime"],
@@ -406,7 +408,7 @@ def _run_tables(p, seed):
 
 def _run_curve(p, seed):
     points = optimizer.error_curve(p["kappa"], p["N"], p["xi2_max"], p["samples"], p["branches"])
-    return [vars(pt) for pt in points]   # the CurvePoint fields, in order
+    return [pt._asdict() for pt in points]   # the CurvePoint fields, in order
 
 
 _RUNNERS = {
@@ -420,23 +422,29 @@ _RUNNERS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
-    common.add_argument("--config", help="JSON run config; flags override file values")
-    common.add_argument("--format", choices=FORMATS, default=None)
-    common.add_argument("--output", default=None, help="path; default stdout")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--print-config", action="store_true",
+def _add_global_flags(parser: argparse.ArgumentParser, default) -> None:
+    parser.add_argument("--config", default=default,
+                        help="JSON run config; flags override file values")
+    parser.add_argument("--format", choices=FORMATS, default=default)
+    parser.add_argument("--output", default=default, help="path; default stdout")
+    parser.add_argument("--seed", type=int, default=default)
+    parser.add_argument("--print-config", action="store_true", default=default,
                         help="print the effective config and exit")
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zenogate",
         description="Quantum-Zeno two-photon gate simulator and design toolkit",
-        parents=[common],
         allow_abbrev=False,
     )
+    _add_global_flags(parser, None)
     sub = parser.add_subparsers(dest="command")
     for command, params in PARAMS.items():
-        sp = sub.add_parser(command, parents=[common], allow_abbrev=False)
+        sp = sub.add_parser(command, allow_abbrev=False)
+        # the global flags are taken after the subcommand too; a flag given
+        # only before it keeps its value, since the copies set no default
+        _add_global_flags(sp, argparse.SUPPRESS)
         for name, spec in params.items():
             flag = "--" + name.replace("_", "-")
             if spec.kind == "flag":

@@ -44,7 +44,13 @@ class MultiPassSpec:
     def __post_init__(self):
         if self.passes < 1:
             raise ValueError("passes must be >= 1")
+        if not self.tau >= 0.0:  # also rejects NaN
+            raise ValueError("tau must be >= 0")
+        # each probability is at most strength^2: a phase sum has modulus at
+        # most n, and the scatter term is strength^2/n
         strength = self.tau * max(abs(self.g13), abs(self.g12), abs(self.g11)) * self.passes
+        if not strength <= 1.0:
+            raise ValueError(f"tau*|g|*n = {strength:.3g} must be <= 1, or probabilities exceed 1")
         if strength > 0.1:
             warnings.warn(
                 f"tau*|g|*n = {strength:.3g} leaves the perturbative regime",

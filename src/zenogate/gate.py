@@ -70,10 +70,9 @@ class AbsorberRates:
 
     one_photon: float
     two_photon: float
-    control: float = 0.0
 
     def __post_init__(self):
-        for name in ("one_photon", "two_photon", "control"):
+        for name in ("one_photon", "two_photon"):
             if not getattr(self, name) >= 0.0:  # also rejects NaN
                 raise ValueError(f"{name} decay exponent must be >= 0")
 
@@ -198,29 +197,15 @@ def propagate(
     return PhotonState(gate_matrix(geometry, decay) @ amps)
 
 
-def exact_errors(
-    geometry: GateGeometry,
-    rates: AbsorberRates,
-    input_branch: int = 0,
-) -> tuple[float, float]:
+def exact_errors(geometry: GateGeometry, rates: AbsorberRates) -> tuple[float, float]:
     """Exact (P_error_1gamma, P_error_2gamma) from the transfer matrices.
 
     Without the control photon the gate fails when the target is not found in
     the branch opposite its input; with the control photon it fails when the
-    target is not found back in its input branch.
-
-    For the three-branch gate `input_branch` may be 2 (photon entering the
-    bottom branch).  Mirroring the gate swaps the branch labels 1<->3 and the
-    order of the two splitters inside a segment, which conjugates the segment
-    by the index reversal; the mirrored amplitudes are therefore the same
-    matrix-power entries read with reversed indices, making the mirror
-    symmetry hold bit-exactly.
+    target is not found back in its input branch.  The target enters on the
+    first branch; the mirrored three-branch gate, entered on the last
+    branch, has the same errors.
     """
-    if geometry.branches == 2:
-        if input_branch != 0:
-            raise ValueError("two-branch gate input is the upper branch")
-    elif input_branch not in (0, 2):
-        raise ValueError("input_branch must be 0 (top) or 2 (bottom)")
     # AbsorberRates has checked the decays; one power of the block pair
     # gives the gate with and without the control photon
     k = geometry.branches
@@ -228,10 +213,9 @@ def exact_errors(
     pair = _pairs(k, c, s, math.exp(-rates.one_photon), math.exp(-rates.two_photon))
     m = _power_one(pair, geometry.segments)
     # the matrices are real, so |amplitude|^2 is a plain square; the target
-    # should leave on the last branch.  For input_branch 2 the reversal maps
-    # (0,2)->(2,0) and (2,2)->(0,0), so the same entries are read.  a * a,
-    # not a ** 2: on a NumPy float ** goes through libm pow, which can differ
-    # from the exact product in the last bit, and the batch squares exactly.
+    # should leave on the last branch.  a * a, not a ** 2: on a NumPy float
+    # ** goes through libm pow, which can differ from the exact product in
+    # the last bit, and the batch squares exactly.
     a1, a2 = m.item(k - 1, 0), m.item(k, k)
     return 1.0 - a1 * a1, 1.0 - a2 * a2
 

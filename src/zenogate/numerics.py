@@ -15,7 +15,6 @@ cross-check holds: 1e14 1/s corresponds to hbar*omega ~ 0.0658 eV, i.e.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,10 +35,11 @@ WATT_PER_CM2_EV4 = _WATT_EV2 / _CM2_INV_EV2
 
 
 class UnitError(ValueError):
-    """Raised for arithmetic or conversion between incompatible unit kinds."""
+    """Raised for an unknown unit or a conversion between incompatible kinds."""
 
 
-# unit label -> (kind, scale to the natural base unit of that kind)
+# unit label -> (kind, scale to the natural base unit of that kind); angular
+# frequency is kept in 1/s, so the energy<->frequency hop through hbar is explicit
 _UNITS = {
     "eV": ("energy", 1.0),
     "meV": ("energy", 1e-3),
@@ -60,18 +60,6 @@ _UNITS = {
     "dimensionless": ("dimensionless", 1.0),
 }
 
-# natural base unit per kind (angular frequency is kept in 1/s so that the
-# energy<->frequency hop through hbar stays explicit)
-_BASE_UNIT = {
-    "energy": "eV",
-    "angular_frequency": "1/s",
-    "length": "1/eV",
-    "area": "1/eV^2",
-    "intensity": "eV^4",
-    "dimensionless": "",
-}
-
-
 def unit_kind(unit: str) -> str:
     """Kind ('energy', 'length', ...) a unit label belongs to."""
     try:
@@ -80,59 +68,20 @@ def unit_kind(unit: str) -> str:
         raise UnitError(f"unknown unit {unit!r}") from None
 
 
-@dataclass(frozen=True)
-class Quantity:
-    """A scalar with a unit label; addition requires matching kinds."""
-
-    value: float
-    unit: str = ""
-
-    def __post_init__(self):
-        unit_kind(self.unit)  # validates the label
-
-    @property
-    def kind(self) -> str:
-        return _UNITS[self.unit][0]
-
-    def to(self, target: str) -> "Quantity":
-        return convert(self, target)
-
-    def _check(self, other: "Quantity"):
-        if not isinstance(other, Quantity):
-            raise UnitError("expected a Quantity")
-        if self.kind != other.kind:
-            raise UnitError(f"incompatible kinds: {self.kind} vs {other.kind}")
-
-    def __add__(self, other):
-        self._check(other)
-        return Quantity(self.value + other.to(self.unit).value, self.unit)
-
-    def __sub__(self, other):
-        self._check(other)
-        return Quantity(self.value - other.to(self.unit).value, self.unit)
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, Quantity):
-            raise UnitError("only scalar multiplication is supported")
-        return Quantity(self.value * scalar, self.unit)
-
-    __rmul__ = __mul__
-
-
-def convert(q: Quantity, target: str) -> Quantity:
-    """Convert between compatible units.
+def convert(value: float, unit: str, target: str) -> float:
+    """value, given in unit, expressed in the target unit.
 
     Within a kind this is a pure rescaling.  Across kinds the supported hops
     are energy <-> angular frequency (E = hbar*omega) and wavelength <->
     angular frequency (omega = 2*pi*c/lambda); length -> energy composes the
     two, i.e. reads the length as a vacuum wavelength.
     """
-    src_kind, src_scale = _UNITS[q.unit]
-    dst_kind, dst_scale = _UNITS[target]
+    src_kind, dst_kind = unit_kind(unit), unit_kind(target)
+    src_scale, dst_scale = _UNITS[unit][1], _UNITS[target][1]
     if src_kind == dst_kind:
-        return Quantity(q.value * (src_scale / dst_scale), target)  # exact for equal scales
+        return value * (src_scale / dst_scale)  # exact for equal scales
 
-    base = q.value * src_scale  # natural base unit of src_kind
+    base = value * src_scale  # natural base unit of src_kind
     pair = (src_kind, dst_kind)
     if pair == ("energy", "angular_frequency"):
         out = base / HBAR_EV_S
@@ -145,10 +94,10 @@ def convert(q: Quantity, target: str) -> Quantity:
         lam_m = 2.0 * np.pi * C_M_PER_S / base
         out = lam_m * 1e9 / HBARC_EV_NM
     elif pair in (("length", "energy"), ("energy", "length")):
-        return convert(convert(q, "1/s"), target)
+        return convert(convert(value, unit, "1/s"), "1/s", target)
     else:
         raise UnitError(f"no conversion from {src_kind} to {dst_kind}")
-    return Quantity(out / dst_scale, target)
+    return out / dst_scale
 
 
 def _check_matrix(m: np.ndarray) -> np.ndarray:

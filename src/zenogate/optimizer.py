@@ -8,7 +8,7 @@ when the exact maximum error drops below the target; this is the procedure
 that reproduces the bundled example tables.  Two further error models are
 available: 'leading', whose least maximum of the large-N truncations over
 the absorber scale is the closed form pi/sqrt(2*kappa) at every N, so that
-it returns kappa = pi^2/(2P^2) to within kappa_tol, and
+it returns kappa = pi^2/(2P^2) to within KAPPA_TOL, and
 'exact_free', which additionally minimizes over the absorber scale and
 therefore returns the true (slightly smaller) minimum.
 """
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +25,8 @@ from . import absorber, gate
 from .numerics import bisect_steps, run_steps
 
 SQRT2 = math.sqrt(2.0)
+KAPPA_TOL = 1e-3   # relative bisection width in kappa
+SCALE_TOL = 1e-6   # bisection width in log absorber scale
 
 
 class InfeasibleDesignError(ValueError):
@@ -32,20 +35,15 @@ class InfeasibleDesignError(ValueError):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    kappa_tol: float = 1e-3        # relative bisection width in kappa
-    scale_tol: float = 1e-6        # bisection width in log absorber scale
     kappa_max: float = 1e6
     n_max: int = 200
 
     def __post_init__(self):
-        # kappa is bisected on [1, kappa_max]; a zero tolerance never ends
+        # kappa is bisected on [1, kappa_max]
         if not 1.0 <= self.kappa_max < math.inf:
             raise ValueError("kappa_max must be finite and >= 1")
         if not self.n_max >= 1:
             raise ValueError("n_max must be >= 1")
-        for name in ("kappa_tol", "scale_tol"):
-            if not getattr(self, name) > 0.0:  # also rejects NaN
-                raise ValueError(f"{name} must be > 0")
 
 
 @dataclass(frozen=True)
@@ -113,8 +111,7 @@ def _max_error_steps(geometry: gate.GateGeometry, kappa: float):
     return max(p1, p2)
 
 
-def _scale_steps(geometry: gate.GateGeometry, kappa: float, config: SearchConfig,
-                 budget: float | None = None):
+def _scale_steps(geometry: gate.GateGeometry, kappa: float, budget: float | None = None):
     """Coroutine form of minimized_max_error.
 
     P1 rises and P2 falls with the absorber scale, so max(P1, P2) is least
@@ -130,7 +127,7 @@ def _scale_steps(geometry: gate.GateGeometry, kappa: float, config: SearchConfig
     within the budget exactly when the full search would end within it.
     """
     x1, x2 = _balanced(geometry, kappa)
-    search = bisect_steps(math.log(1e-3), math.log(1e3), config.scale_tol)
+    search = bisect_steps(math.log(1e-3), math.log(1e3), SCALE_TOL)
     log_scale, best = next(search), None
     while True:
         scale = math.exp(log_scale)
@@ -145,15 +142,15 @@ def _scale_steps(geometry: gate.GateGeometry, kappa: float, config: SearchConfig
             return best
 
 
-def minimized_max_error(segments: int, kappa: float, config: SearchConfig = SearchConfig()) -> tuple[float, float]:
+def minimized_max_error(segments: int, kappa: float) -> tuple[float, float]:
     """(min over absorber scale of max(P1, P2), minimizing scale multiplier)."""
-    return _lockstep([_scale_steps(gate.GateGeometry(3, segments), kappa, config)])[0]
+    return _lockstep([_scale_steps(gate.GateGeometry(3, segments), kappa)])[0]
 
 
 _ERROR_MODELS = ("exact", "exact_free", "leading")
 
 
-def _feasible_steps(geometry, kappa: float, p_target: float, error_model: str, config: SearchConfig):
+def _feasible_steps(geometry, kappa: float, p_target: float, error_model: str):
     """Coroutine: whether kappa reaches p_target at this geometry.
 
     For 'exact_free' the scale search stops at the first point within the
@@ -162,7 +159,7 @@ def _feasible_steps(geometry, kappa: float, p_target: float, error_model: str, c
     if error_model == "exact":
         return (yield from _max_error_steps(geometry, kappa)) <= p_target
     if error_model == "exact_free":
-        return (yield from _scale_steps(geometry, kappa, config, p_target))[0] <= p_target
+        return (yield from _scale_steps(geometry, kappa, p_target))[0] <= p_target
     # the leading-order truncations N*xi_1gamma/2 and pi^2/(N*xi_2gamma)
     # cross at pi/sqrt(2*kappa) for every N, the least max over the scale
     return gate.overall_error(kappa) <= p_target
@@ -185,16 +182,16 @@ def _kappa_steps(segments: int, p_target: float, error_model: str, config: Searc
     geometry = gate.GateGeometry(3, segments)
     lo, hi = 1.0, config.kappa_max
     if feasible_at_max is None:
-        feasible_at_max = yield from _feasible_steps(geometry, hi, p_target, error_model, config)
+        feasible_at_max = yield from _feasible_steps(geometry, hi, p_target, error_model)
     if not feasible_at_max:
         raise InfeasibleDesignError(
             f"no kappa <= {config.kappa_max:g} reaches P <= {p_target} at N = {segments}"
         )
-    if (yield from _feasible_steps(geometry, lo, p_target, error_model, config)):
+    if (yield from _feasible_steps(geometry, lo, p_target, error_model)):
         return lo
-    while hi / lo > 1.0 + config.kappa_tol:
+    while hi / lo > 1.0 + KAPPA_TOL:
         mid = math.sqrt(lo * hi)
-        if (yield from _feasible_steps(geometry, mid, p_target, error_model, config)):
+        if (yield from _feasible_steps(geometry, mid, p_target, error_model)):
             hi = mid
         else:
             lo = mid
@@ -245,11 +242,10 @@ def design_point(
     segments: int,
     spec: absorber.AtomSpec | None = None,
     error_model: str = "exact",
-    config: SearchConfig = SearchConfig(),
 ) -> DesignPoint:
     """Search kappa at fixed N and assemble the certified design point."""
-    kappa_at = _KappaScan(p_target, error_model, config).kappa
-    return _certify(p_target, segments, kappa_at, spec, error_model, config)
+    kappa_at = _KappaScan(p_target, error_model, SearchConfig()).kappa
+    return _certify(p_target, segments, kappa_at, spec, error_model)
 
 
 def _certify(
@@ -258,7 +254,6 @@ def _certify(
     kappa_at,
     spec: absorber.AtomSpec | None,
     error_model: str,
-    config: SearchConfig,
 ) -> DesignPoint:
     """Design point at N = segments; kappa_at(N) gives its minimal kappa."""
     if error_model not in ("exact", "exact_free"):
@@ -266,7 +261,7 @@ def _certify(
     kappa = kappa_at(segments)
     rates, _ = gate.optimal_rates(kappa, segments, branches=3)
     if error_model == "exact_free":
-        _, scale = minimized_max_error(segments, kappa, config)
+        _, scale = minimized_max_error(segments, kappa)
         rates = gate.AbsorberRates(
             one_photon=scale * rates.one_photon, two_photon=scale * rates.two_photon
         )
@@ -318,7 +313,7 @@ class _KappaScan:
         """Whether some kappa <= kappa_max reaches the target at N = n."""
         def search(m):
             return _feasible_steps(gate.GateGeometry(3, m), self.config.kappa_max,
-                                   self.p_target, self.error_model, self.config)
+                                   self.p_target, self.error_model)
 
         self._fill(n, self.at_max, search, _SCAN_CHUNK)
         return self.at_max[n]
@@ -351,7 +346,6 @@ def _smallest_feasible_n(scan: _KappaScan) -> int:
 def search_feasible_nk(
     p_target: float,
     strategy: str | None = None,
-    spec: absorber.AtomSpec | None = None,
     error_model: str = "exact",
     config: SearchConfig = SearchConfig(),
 ) -> list[DesignPoint]:
@@ -396,7 +390,7 @@ def search_feasible_nk(
             n = best
         else:
             raise ValueError("strategy must be 'min_n', 'balanced' or 'min_kappa'")
-        points.append(_certify(p_target, n, scan.kappa, spec, error_model, config))
+        points.append(_certify(p_target, n, scan.kappa, None, error_model))
     return points
 
 
@@ -419,11 +413,7 @@ class TableSet:
     small_kappa: list[DesignPoint] = field(default_factory=list)
 
 
-def generate_tables(
-    spec: absorber.AtomSpec | None = None,
-    anchors: dict[float, tuple[int, int, int]] | None = None,
-    config: SearchConfig = SearchConfig(),
-) -> TableSet:
+def generate_tables(spec: absorber.AtomSpec | None = None) -> TableSet:
     """Reproduce the example design tables for the given absorber.
 
     For every (error budget, N) anchor the minimal kappa is searched, the
@@ -433,13 +423,11 @@ def generate_tables(
     """
     if spec is None:
         spec = absorber.optical_example()
-    if anchors is None:
-        anchors = TABLE_ANCHORS
     columns = {0: [], 1: [], 2: []}
     flat = []
-    for p_target in sorted(anchors, reverse=True):
-        for col, n in enumerate(anchors[p_target]):
-            pt = design_point(p_target, n, spec, "exact", config)
+    for p_target in sorted(TABLE_ANCHORS, reverse=True):
+        for col, n in enumerate(TABLE_ANCHORS[p_target]):
+            pt = design_point(p_target, n, spec)
             columns[col].append(pt)
             flat.append(pt)
     return TableSet(
@@ -450,8 +438,7 @@ def generate_tables(
     )
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     xi_2gamma: float
     p1_exact: float
     p2_exact: float
@@ -482,7 +469,7 @@ def error_curve(
     p1, p2 = gate.exact_errors_batch(geom, x1, x2)
     a1, a2 = gate.leading_errors(geom, x1, x2)
     columns = (p1, p2, np.minimum(a1, 1.0), np.minimum(a2, 1.0))
-    return [CurvePoint(*row) for row in zip(xi2, *(col.tolist() for col in columns))]
+    return list(map(CurvePoint._make, zip(xi2, *(col.tolist() for col in columns))))
 
 
 def exact_crossing(kappa: float, segments: int, branches: int = 2) -> tuple[float, float]:

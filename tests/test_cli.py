@@ -69,6 +69,18 @@ class TestGateCommand:
         assert code == 2
         assert "kappa" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--xi1", "0.01", "--xi2", "0", "--control"),   # no absorber: pi^2/(N*0)
+        ("--xi1", "inf", "--xi2", "inf"),                # N*inf/2
+    ], ids=["no_absorber", "infinite_rates"])
+    def test_leading_order_is_clipped_to_one(self, capsys, argv):
+        # the truncation is clipped as in the curve command (it printed inf)
+        code, out, err = run_cli(capsys, "gate", "--N", "10", *argv)
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        assert float(rows[0]["p_error_leading"]) == 1.0
+        assert 0.0 <= float(rows[0]["p_error_exact"]) <= 1.0
+
 
 class TestCurveCommand:
     def test_columns_and_range(self, capsys):
@@ -214,6 +226,17 @@ class TestEnhanceCommand:
         _, out3, _ = run_cli(capsys, *args[:-2], "--seed", "8")
         assert out3 != out1
 
+    @pytest.mark.parametrize("argv, word", [
+        (("--tau", "-1"), "tau must be >= 0"),           # printed p_2gamma = 256
+        (("--tau", "0.1"), "tau*|g|*n = 1.6"),           # printed p_2gamma = 2.56
+        (("--n", "100000000"), "tau*|g|*n = 1e+05"),     # built a 1e8-element sum
+    ], ids=["negative_tau", "tau_0.1", "n_1e8"])
+    def test_multipass_out_of_range_is_rejected(self, capsys, argv, word):
+        code, out, err = run_cli(capsys, "enhance", "--mechanism", "multipass", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and word in err
+
     def test_pump_summary(self, capsys):
         _, out, _ = run_cli(capsys, "enhance", "--mechanism", "pump")
         _, rows = parse_csv(out)
@@ -301,11 +324,15 @@ class TestConfigFile:
         cfg.write_text(json.dumps({
             "command": "demo",
             "parameters": {"N": {"value": 1, "unit": ""}},
+            "format": "json",
+            "seed": 4,
         }))
         code, out, _ = run_cli(capsys, "--config", str(cfg), "demo", "--N", "10")
         assert code == 0
-        _, rows = parse_csv(out)
-        assert float(rows[0]["survival"]) == pytest.approx(0.780546069781, rel=1e-11)
+        # N from the flag; format and seed, which only the file sets, from the file
+        doc = json.loads(out)
+        assert doc["provenance"]["seed"] == 4
+        assert doc["rows"][0]["survival"] == pytest.approx(0.780546069781, rel=1e-11)
 
     def test_config_units_are_converted(self, capsys, tmp_path):
         # wavelength given in metres must equal the nm default run
@@ -319,3 +346,37 @@ class TestConfigFile:
         v1 = parse_csv(via_config)[1][0]["p_2gamma"]
         v2 = parse_csv(direct)[1][0]["p_2gamma"]
         assert float(v1) == pytest.approx(float(v2), rel=1e-9)
+
+
+class TestGlobalFlags:
+    """Flags common to every command work before the subcommand too."""
+
+    def test_format_and_seed_before_the_subcommand(self, capsys):
+        code, out, _ = run_cli(capsys, "--format", "json", "--seed", "5", "demo", "--N", "3")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["provenance"]["seed"] == 5
+        assert doc["rows"][0]["segments"] == 3
+
+    def test_config_before_the_subcommand(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "command": "demo",
+            "parameters": {"N": {"value": 10, "unit": ""}},
+        }))
+        code, out, err = run_cli(capsys, "--config", str(cfg), "demo")
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        assert rows[0]["segments"] == "10"
+
+    def test_print_config_before_the_subcommand(self, capsys):
+        code, out, _ = run_cli(capsys, "--print-config", "demo", "--N", "3")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["command"] == "demo"
+        assert doc["parameters"]["N"] == {"unit": "", "value": 3}
+
+    def test_flag_after_the_subcommand_wins(self, capsys):
+        code, out, _ = run_cli(capsys, "--seed", "5", "demo", "--N", "3", "--seed", "6")
+        assert code == 0
+        assert "# seed=6" in out

@@ -1,6 +1,7 @@
 """Enhancement-mechanism tests: multi-pass, quasispin, Monte Carlo, pump."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -85,6 +86,17 @@ class TestMultiPass:
         with pytest.warns(UserWarning):
             MultiPassSpec(passes=1000, k1=1.0, k2=1.0, path_length=1.0,
                           tau=1e-3, g13=1.0, g12=1.0, g11=1.0)
+
+    @pytest.mark.parametrize("tau, passes, word", [
+        (-1.0, 16, "tau"),             # a negative strength gave p_2gamma = 256
+        (math.nan, 16, "tau"),
+        (0.1, 16, "1.6"),              # tau*|g|*n > 1 gave p_2gamma = 2.56
+        (1e-3, 100_000_000, "1e+05"),  # rejected before any phase sum is built
+    ])
+    def test_strength_above_one_is_rejected(self, tau, passes, word):
+        with pytest.raises(ValueError, match=re.escape(word)):
+            MultiPassSpec(passes=passes, k1=1.0, k2=1.0, path_length=1.0,
+                          tau=tau, g13=1.0, g12=1.0, g11=1.0)
 
 
 class TestQuasispin:

@@ -207,23 +207,29 @@ class TestExactErrors:
         assert p2 == pytest.approx(target, abs=5e-3)
         assert abs(p1 - p2) < 5e-3
 
-    def test_mirror_symmetry_is_bit_exact(self):
+    def test_mirror_symmetry(self):
+        # the gate mirrored top to bottom, built from its parts: per segment
+        # the 2-3 splitter, the absorber on branch 2, then the 1-2 splitter.
+        # Entered on branch 3 it must leave on branch 1 without the control
+        # photon and stay on branch 3 with it, with the standard gate's errors.
+        def mirrored_segment(angle, decay):
+            c, s = math.cos(angle), math.sin(angle)
+            split_23 = np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])
+            absorb = np.diag([1.0, math.exp(-decay), 1.0])
+            split_12 = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+            return split_12 @ absorb @ split_23
+
         for n in (1, 17, 1000):
             geom = GateGeometry(3, n)
             for rates in (AbsorberRates(0.02, 1.3), AbsorberRates(0.0, math.inf)):
-                assert exact_errors(geom, rates, input_branch=0) == exact_errors(
-                    geom, rates, input_branch=2
-                )
-
-    def test_input_branch_validation(self):
-        rates = AbsorberRates(0.02, 1.3)
-        with pytest.raises(ValueError):
-            exact_errors(GateGeometry(2, 10), rates, input_branch=2)
-        with pytest.raises(ValueError):
-            exact_errors(GateGeometry(3, 10), rates, input_branch=1)
+                m1 = mat_power(mirrored_segment(geom.angle, rates.one_photon), n)
+                m2 = mat_power(mirrored_segment(geom.angle, rates.two_photon), n)
+                p1, p2 = exact_errors(geom, rates)
+                assert abs((1.0 - m1[0, 2] ** 2) - p1) <= 1e-12
+                assert abs((1.0 - m2[2, 2] ** 2) - p2) <= 1e-12
 
     def test_nan_rates_rejected(self):
-        for args in ((math.nan, 1.0), (0.1, math.nan), (0.1, 1.0, math.nan)):
+        for args in ((math.nan, 1.0), (0.1, math.nan)):
             with pytest.raises(ValueError):
                 AbsorberRates(*args)
 

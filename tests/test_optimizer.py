@@ -7,6 +7,8 @@ import pytest
 from zenogate import gate, optimizer
 from zenogate.absorber import optical_example
 from zenogate.optimizer import (
+    KAPPA_TOL,
+    SCALE_TOL,
     DesignPoint,
     InfeasibleDesignError,
     SearchConfig,
@@ -38,13 +40,12 @@ class TestMinKappa:
     def test_leading_model_bisects_the_closed_form(self):
         # the least max of N*xi_1gamma/2 and pi^2/(N*xi_2gamma) over the
         # absorber scale is pi/sqrt(2*kappa) at every N: one kappa for all N,
-        # the first within kappa_tol above which the closed form reaches p
-        config = SearchConfig()
+        # the first within KAPPA_TOL above which the closed form reaches p
         for p in (0.05, 0.1, 0.25, 0.5, 0.9):
-            kappas = {min_kappa(n, p, "leading", config) for n in (1, 10, 100, 10_000)}
+            kappas = {min_kappa(n, p, "leading") for n in (1, 10, 100, 10_000)}
             assert len(kappas) == 1
             kappa = kappas.pop()
-            assert gate.overall_error(kappa) <= p < gate.overall_error(kappa / (1 + config.kappa_tol))
+            assert gate.overall_error(kappa) <= p < gate.overall_error(kappa / (1 + KAPPA_TOL))
 
     @pytest.mark.parametrize(("p", "n"), list(REFERENCE_KAPPA))
     def test_exact_model_matches_reference_points(self, p, n):
@@ -78,8 +79,6 @@ class TestSearchConfig:
     @pytest.mark.parametrize("field, value", [
         ("kappa_max", 0.9), ("kappa_max", math.inf), ("kappa_max", math.nan),
         ("n_max", 0), ("n_max", -3),
-        ("kappa_tol", 0.0), ("kappa_tol", -1e-3), ("kappa_tol", math.nan),
-        ("scale_tol", 0.0), ("scale_tol", math.nan),
     ])
     def test_rejects_bad_fields(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -105,7 +104,7 @@ def ref_max_error(n, kappa, scale=None):
     return max(ref_errors(n, kappa, scale))
 
 
-def ref_min_error(n, kappa, config):
+def ref_min_error(n, kappa):
     """(least max(P1, P2) evaluated, its scale): bisection on the sign of
     P1 - P2 over log scale in [ln 1e-3, ln 1e3]; a tie keeps the later point."""
     best = None
@@ -121,7 +120,7 @@ def ref_min_error(n, kappa, config):
     lo, hi = math.log(1e-3), math.log(1e3)
     d_lo, d_hi = diff(lo), diff(hi)
     if d_lo <= 0.0 <= d_hi:
-        while hi - lo > config.scale_tol:
+        while hi - lo > SCALE_TOL:
             mid = 0.5 * (lo + hi)
             if diff(mid) < 0.0:
                 lo = mid
@@ -130,7 +129,7 @@ def ref_min_error(n, kappa, config):
     return best
 
 
-def golden_min_error(n, kappa, config):
+def golden_min_error(n, kappa):
     """Golden-section minimization of max(P1, P2) over the same bracket: a
     second, independent reference for the kappa of the crossing bisection."""
     def f(log_scale):
@@ -140,7 +139,7 @@ def golden_min_error(n, kappa, config):
     a, b = math.log(1e-3), math.log(1e3)
     c, d = b - invphi * (b - a), a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > config.scale_tol:
+    while (b - a) > SCALE_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -158,14 +157,14 @@ def ref_min_kappa(n, p, model, config, min_error=ref_min_error):
     def feasible(kappa):
         if model == "exact":
             return ref_max_error(n, kappa) <= p
-        return min_error(n, kappa, config)[0] <= p
+        return min_error(n, kappa)[0] <= p
 
     lo, hi = 1.0, config.kappa_max
     if not feasible(hi):
         return None
     if feasible(lo):
         return lo
-    while hi / lo > 1.0 + config.kappa_tol:
+    while hi / lo > 1.0 + KAPPA_TOL:
         mid = math.sqrt(lo * hi)
         if feasible(mid):
             hi = mid
@@ -200,7 +199,7 @@ def ref_search(p, strategy, model, config):
         k = kappa_at(n)
         rates, _ = gate.optimal_rates(k, n, branches=3)
         if model == "exact_free":
-            _, scale = ref_min_error(n, k, config)
+            _, scale = ref_min_error(n, k)
             rates = gate.AbsorberRates(scale * rates.one_photon, scale * rates.two_photon)
         p1, p2 = gate.exact_errors(gate.GateGeometry(3, n), rates)
         p2_seg, p1_seg = segment_probabilities(n, k)
@@ -286,7 +285,7 @@ class TestScaleOptimum:
 
     def test_kernel_evaluations_per_search(self, monkeypatch):
         # both ends, then 24 midpoints halve the 13.8-wide log bracket to
-        # below scale_tol = 1e-6; the kappa bisection checks 16 kappa at N = 60.
+        # below SCALE_TOL = 1e-6; the kappa bisection checks 16 kappa at N = 60.
         # An exact_free check stops at the first point within the budget
         # P = 0.2: the 6 infeasible kappa take all 26 points (156); 7 feasible
         # kappa stop at the third, the first midpoint (scale 1, the balanced
@@ -309,7 +308,7 @@ class TestScaleOptimum:
     @staticmethod
     def scale_points(segments, kappa, budget):
         """(requests of one scale search, its result), one at a time."""
-        search = optimizer._scale_steps(gate.GateGeometry(3, segments), kappa, SearchConfig(), budget)
+        search = optimizer._scale_steps(gate.GateGeometry(3, segments), kappa, budget)
         requests, value = [], None
         try:
             while True:

@@ -1,12 +1,16 @@
-"""Property tests of the exact-error kernels over drawn inputs."""
+"""Property tests of the exact-error kernels and of the CLI over drawn inputs."""
 
+import contextlib
+import io
+import json
 import math
+import warnings
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from zenogate import gate
+from zenogate import cli, gate
 from zenogate.gate import AbsorberRates, GateGeometry
 
 # decay exponents: no absorber, a perfect one, and the log-spread range that
@@ -35,3 +39,59 @@ def test_batch_equals_scalar_bit_for_bit(branches, uniform, elements):
         scalar = gate.exact_errors(geometry, AbsorberRates(x1[i], x2[i]))
         # the same bits: equal doubles, with -0.0 and 0.0 told apart
         assert [np.float64(v).tobytes() for v in scalar] == [p1[i].tobytes(), p2[i].tobytes()]
+
+
+# CLI numbers: 0 and inf, log-spread positive values and small signed ones
+NUMBERS = (st.sampled_from((0.0, math.inf)) | st.floats(-4.0, 6.0).map(lambda e: 10.0**e)
+           | st.floats(-2.0, 2.0)).map(repr)
+SEGMENTS = st.integers(-1, 10_000).map(str)
+BRANCHES = st.sampled_from(("2", "3"))
+
+
+@st.composite
+def cli_argv(draw):
+    """argv of gate, curve, demo or enhance multipass; each optional flag
+    is given a drawn value or left out."""
+    def optional(argv, options):
+        for flag, values in options.items():
+            if draw(st.booleans()):
+                argv += [flag, draw(values)]
+        return argv
+
+    command = draw(st.sampled_from(("gate", "curve", "demo", "multipass")))
+    if command == "gate":
+        argv = optional(["gate", "--N", draw(SEGMENTS)], {"--branches": BRANCHES,
+                                                           "--epsilon": NUMBERS})
+        # kappa, both decays, or one decay alone (exit 2)
+        for flag in draw(st.sampled_from((["--kappa"], ["--xi1", "--xi2"], ["--xi1"]))):
+            argv += [flag, draw(NUMBERS)]
+        return argv + draw(st.sampled_from(([], ["--control"])))
+    if command == "curve":
+        return optional(["curve"], {"--kappa": NUMBERS, "--N": SEGMENTS, "--xi2-max": NUMBERS,
+                                    "--samples": st.integers(0, 200).map(str),
+                                    "--branches": BRANCHES})
+    if command == "demo":
+        return ["demo", "--N", draw(SEGMENTS)]
+    return optional(["enhance", "--mechanism", "multipass"], {
+        "--n": st.integers(-1, 64).map(str), "--tau": NUMBERS, "--k1L": NUMBERS,
+        "--k2L": NUMBERS, "--g13": NUMBERS, "--g12": NUMBERS, "--g11": NUMBERS})
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=cli_argv())
+def test_cli_exits_cleanly_with_probabilities_in_range(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # the multipass perturbative-regime warning
+        code = cli.main(argv + ["--format", "json"])
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        doc = json.loads(out.getvalue())
+        for row in doc["rows"]:
+            for name, unit in doc["units"].items():
+                if unit == "probability":
+                    # within the benchmark's tolerance of [0, 1]
+                    assert math.isfinite(row[name]) and -1e-9 <= row[name] <= 1.0 + 1e-9, \
+                        (name, row[name])
