@@ -247,6 +247,21 @@ _COLUMN_UNITS = {
 }
 
 
+def _json_text(doc) -> str:
+    """doc as JSON text.  JSON has no inf or NaN: a non-finite float is
+    written as the string the CSV has for it, "inf", "-inf" or "nan"."""
+    def finite(value):
+        if isinstance(value, float) and not math.isfinite(value):
+            return _fmt(value)
+        if isinstance(value, dict):
+            return {k: finite(v) for k, v in value.items()}
+        if isinstance(value, list):
+            return [finite(v) for v in value]
+        return value
+
+    return json.dumps(finite(doc), sort_keys=True, indent=1, allow_nan=False) + "\n"
+
+
 def emit(rows, fmt, output, provenance) -> str:
     """Serialize rows; the columns are the keys of the first row, in order."""
     columns = list(rows[0]) if rows else []
@@ -270,7 +285,7 @@ def emit(rows, fmt, output, provenance) -> str:
                 for row in rows
             ],
         }
-        text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
+        text = _json_text(doc)
     if output:
         with open(output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -487,7 +502,7 @@ def run(argv) -> int:
 
     effective = _canonical_config(command, params, fmt, output, seed)
     if args.print_config:
-        sys.stdout.write(json.dumps(effective, sort_keys=True, indent=1) + "\n")
+        sys.stdout.write(_json_text(effective))
         return 0
 
     config_hash = hashlib.sha256(

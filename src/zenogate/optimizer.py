@@ -9,8 +9,19 @@ that reproduces the bundled example tables.  Two further error models are
 available: 'leading', whose least maximum of the large-N truncations over
 the absorber scale is the closed form pi/sqrt(2*kappa) at every N, so that
 it returns kappa = pi^2/(2P^2) to within KAPPA_TOL, and
-'exact_free', which additionally minimizes over the absorber scale and
-therefore returns the true (slightly smaller) minimum.
+'exact_free', which additionally lets the absorber scale s in [1e-3, 1e3]
+vary and therefore returns the true (slightly smaller) minimum.
+
+Every model bisects log kappa at fixed N the same way.  'exact' evaluates
+the gate at each step.  'exact_free' first solves, once per N, for the
+thresholds of the paper's feasibility question at finite N: the largest
+xi_1gamma with P1 <= P and the smallest xi_2gamma past the peak of P2 with
+P2 <= P (and, for P >= P2(0), the largest before it; see _Window).  A
+kappa step is then the arithmetic test whether some scale puts both
+balanced rates inside them, so the bisection visits the same kappa as an
+evaluating search would, with no kernel call.  The thresholds rest on P1
+rising with xi_1gamma and P2 rising and then falling with xi_2gamma, as
+measured (up to rounding) for N from 1 to 1000.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import absorber, gate
-from .numerics import bisect_steps, run_steps
+from .numerics import bisect_steps, golden_minimize, run_steps
 
 SQRT2 = math.sqrt(2.0)
 KAPPA_TOL = 1e-3   # relative bisection width in kappa
@@ -46,25 +57,47 @@ class SearchConfig:
             raise ValueError("n_max must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DesignPoint:
-    """One feasible gate design; rates are certified with exact errors."""
+    """One feasible gate design, certified with exact errors.
+
+    The absorber rates are the balanced rates at kappa (gate.optimal_rates)
+    times scale, which is 1 for the 'exact' model; they and the per-segment
+    probabilities are recomputed on access, so a point stores seven numbers.
+    """
 
     p_target: float
     segments: int
     kappa: float
-    rates: gate.AbsorberRates
+    scale: float
     p1_exact: float
     p2_exact: float
-    p2_segment: float
-    p1_segment: float
     enhancement: int | None = None
 
+    @property
+    def rates(self) -> gate.AbsorberRates:
+        return _design_rates(self.segments, self.kappa, self.scale)
 
-# The searches below are coroutines: each yields (geometry, one_photon,
+    @property
+    def p2_segment(self) -> float:
+        return segment_probabilities(self.segments, self.kappa)[0]
+
+    @property
+    def p1_segment(self) -> float:
+        return segment_probabilities(self.segments, self.kappa)[1]
+
+
+def _design_rates(segments: int, kappa: float, scale: float) -> gate.AbsorberRates:
+    # scale * x is x itself for scale = 1: the 'exact' rates, unscaled
+    rates, _ = gate.optimal_rates(kappa, segments, branches=3)
+    return gate.AbsorberRates(scale * rates.one_photon, scale * rates.two_photon)
+
+
+# The 'exact' searches are coroutines: each yields (geometry, one_photon,
 # two_photon) of the three-branch gate and is sent the exact (P1, P2) there.
 # _lockstep runs many of them side by side, so that one stacked kernel call
-# serves a whole search step; a single search is the one-element case.
+# serves a whole search step; a single search is the one-element case.  The
+# other models' searches never yield: their feasibility test is arithmetic.
 
 def _lockstep(searches: list) -> list:
     """Run search coroutines side by side; each one's result, in order.
@@ -104,62 +137,190 @@ def _balanced(geometry: gate.GateGeometry, kappa: float) -> tuple[float, float]:
     return rates.one_photon, rates.two_photon
 
 
-def _max_error_steps(geometry: gate.GateGeometry, kappa: float):
-    """Coroutine: max(P1, P2) of the three-branch gate at the balanced rates."""
-    x1, x2 = _balanced(geometry, kappa)
-    p1, p2 = yield geometry, x1, x2
-    return max(p1, p2)
-
-
-def _scale_steps(geometry: gate.GateGeometry, kappa: float, budget: float | None = None):
-    """Coroutine form of minimized_max_error.
-
-    P1 rises and P2 falls with the absorber scale, so max(P1, P2) is least
-    where they cross: bisect the sign of P1 - P2 in log scale and keep the
-    best point evaluated (an end of the bracket if P1 - P2 has no sign
-    change there).  Where one error is flat (P2 at N = 1), every point on
-    its side ties.
-
-    With a budget, the search returns the best point as soon as it is within
-    the budget.  Which point comes next depends only on the sign of P1 - P2,
-    never on the budget, so the points evaluated are a prefix of those of
-    the full search; and the best never gets worse, so the search stops
-    within the budget exactly when the full search would end within it.
-    """
-    x1, x2 = _balanced(geometry, kappa)
-    search = bisect_steps(math.log(1e-3), math.log(1e3), SCALE_TOL)
-    log_scale, best = next(search), None
-    while True:
-        scale = math.exp(log_scale)
-        p1, p2 = yield geometry, scale * x1, scale * x2
-        if best is None or max(p1, p2) <= best[0]:   # a tie: the later, nearer the crossing
-            best = max(p1, p2), scale
-        if budget is not None and best[0] <= budget:
-            return best
-        try:
-            log_scale = search.send(p1 - p2)
-        except StopIteration:
-            return best
+# the absorber scales, relative to the balanced rates, that 'exact_free'
+# searches over
+_SCALES = (1e-3, 1e3)
 
 
 def minimized_max_error(segments: int, kappa: float) -> tuple[float, float]:
-    """(min over absorber scale of max(P1, P2), minimizing scale multiplier)."""
-    return _lockstep([_scale_steps(gate.GateGeometry(3, segments), kappa)])[0]
+    """(min over absorber scale of max(P1, P2), minimizing scale multiplier).
+
+    P1 rises and P2 falls with the absorber scale, so max(P1, P2) is least
+    where they cross: bisect the sign of P1 - P2 in log scale over _SCALES
+    and keep the best point evaluated (an end of the bracket if P1 - P2 has
+    no sign change there).  Where one error is flat (P2 at N = 1), every
+    point on its side ties.
+    """
+    geometry = gate.GateGeometry(3, segments)
+    x1, x2 = _balanced(geometry, kappa)
+    best = None
+
+    def diff(log_scale):
+        nonlocal best
+        scale = math.exp(log_scale)
+        p1, p2 = gate.exact_errors(geometry, gate.AbsorberRates(scale * x1, scale * x2))
+        if best is None or max(p1, p2) <= best[0]:   # a tie: the later, nearer the crossing
+            best = max(p1, p2), scale
+        return p1 - p2
+
+    run_steps(bisect_steps(math.log(_SCALES[0]), math.log(_SCALES[1]), SCALE_TOL), diff)
+    return best
+
+
+class _Window(NamedTuple):
+    """The decay exponents at which the 'exact_free' errors meet P at one N.
+
+    P1 rises with xi_1gamma, and P2 rises from P2(0) to a peak near 1 and
+    then falls with xi_2gamma, so {P1 <= P} = [0, xi1] and
+    {P2 <= P} = [0, rise] + [xi2, inf).  rise is 0 when P < P2(0), which is
+    0.633 at N = 1, 0.9746 at N = 2 and 0.995 or more from N = 3 on.  A
+    threshold out of the range the scales can reach is 0 (no xi in range
+    meets P) or inf (every xi in range does).
+    """
+
+    xi1: float
+    xi2: float
+    rise: float
+
+    def _falling(self, geometry: gate.GateGeometry, kappa: float):
+        """(bottom, top, x2): the scales s in _SCALES with s*x1 <= xi1 and
+        s*x2 >= xi2 at the balanced rates (x1, x2) at kappa, none if
+        bottom > top."""
+        x1, x2 = _balanced(geometry, kappa)
+        lo, hi = _SCALES
+        return max(lo, self.xi2 / x2), min(hi, self.xi1 / x1), x2
+
+    def feasible(self, geometry: gate.GateGeometry, kappa: float) -> bool:
+        """Whether some scale s in _SCALES has s*x1 <= xi1, and s*x2 >= xi2
+        or s*x2 <= rise.  The rising side is reached only at the smallest
+        scale."""
+        bottom, top, x2 = self._falling(geometry, kappa)
+        lo = _SCALES[0]
+        return lo <= top and (bottom <= top or lo * x2 <= self.rise)
+
+    def scale(self, geometry: gate.GateGeometry, kappa: float) -> float:
+        """A scale that meets P at a feasible kappa: the geometric middle of
+        the falling side's scales, or else the smallest scale."""
+        bottom, top, _ = self._falling(geometry, kappa)
+        return math.sqrt(bottom * top) if bottom <= top else _SCALES[0]
+
+
+# bracket width in log xi at which a threshold solve stops
+_XI_TOL = 1e-12
+
+
+def _bisect(meets, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Bisect brackets of log xi down to _XI_TOL; the ends that meet P.
+
+    meets(t) says for an array of points, one per bracket, whether each
+    meets P: it is one kernel call.  a holds ends that meet P, b ends that
+    do not, in either order; a bracket no wider than _XI_TOL stays as it is.
+    """
+    while True:
+        live = np.abs(b - a) > _XI_TOL
+        if not live.any():
+            return a
+        mid = 0.5 * (a + b)
+        ok = meets(np.where(live, mid, a))
+        a, b = np.where(live & ok, mid, a), np.where(live & ~ok, mid, b)
+
+
+def _exp(t) -> list[float]:
+    # math.exp, as the thresholds are: the solve evaluates each at its value
+    return [math.exp(v) for v in np.asarray(t).tolist()]
+
+
+def _windows(segments: list[int], p_target: float, kappa_max: float) -> list[_Window]:
+    """The _Window of every N in segments, from one batched threshold solve.
+
+    Only xi in reach matters: s*x1 and s*x2 over s in _SCALES and kappa in
+    [1, kappa_max].  One exact_errors_batch call evaluates P1 and P2 at the
+    ends of both ranges and P2 at 0.  Then each bisection round evaluates,
+    for every N, P1 at its xi_1gamma midpoint and P2 at its xi_2gamma
+    midpoint together, as the two blocks of one pair: 45 rounds take the
+    21-wide log ranges (kappa_max = 1e6) below _XI_TOL.  Where P >= P2(0), a
+    golden-section search first finds the peak of P2, which separates xi2
+    from rise, and rise is bisected in a column of its own.
+    """
+    geoms = [gate.GateGeometry(3, n) for n in segments]
+    lo, hi = _SCALES
+    reach = []   # log xi in reach: xi_1gamma low and high, xi_2gamma low and high
+    for geometry in geoms:
+        (n1, n2), (f1, f2) = _balanced(geometry, 1.0), _balanced(geometry, kappa_max)
+        reach.append([math.log(v) for v in (lo * f1, hi * n1, lo * n2, hi * f2)])
+    t = np.array(reach).T
+    b = len(geoms)
+    p1, p2 = gate.exact_errors_batch(geoms * 3, _exp(t[:2].ravel()) + [0.0] * b,
+                                     _exp(t[2:].ravel()) + [0.0] * b)
+    meets1, meets2 = (p1[:2 * b] <= p_target).tolist(), (p2[:2 * b] <= p_target).tolist()
+    xi1, xi2, rise = [0.0] * b, [math.inf] * b, [0.0] * b   # infeasible until shown otherwise
+    # columns of the bisection: (i, bracket of xi1, bracket on P2, list it
+    # fills); a bracket is (end that meets P, end that does not), or None
+    columns = []
+    for i, geometry in enumerate(geoms):
+        t1lo, t1hi, t2lo, t2hi = t[:, i].tolist()
+        if not meets1[i]:
+            continue   # P1 > P throughout
+        # the falling branch's bracket runs from the high end down to the
+        # low end, past the peak of P2 where P < P2(0); P2 <= P at its
+        # lower end then holds throughout
+        two_sided = p2[2 * b + i] <= p_target
+        peak, everywhere = t2lo, meets2[i]
+        if two_sided:
+            def p2_at(x, geometry=geometry):
+                return gate.exact_errors(geometry, gate.AbsorberRates(0.0, math.exp(x)))[1]
+
+            peak = golden_minimize(lambda x: -p2_at(x), t2lo, t2hi, SCALE_TOL)
+            everywhere = p2_at(peak) <= p_target
+        fall = rising = None
+        if everywhere:
+            xi2[i] = 0.0
+        else:
+            if meets2[b + i]:
+                fall = (t2hi, peak)
+            if two_sided and meets2[i]:
+                rising = (t2lo, peak)
+        if xi2[i] == 0.0 or fall or rising:
+            bracket = None if meets1[b + i] else (t1lo, t1hi)
+            if not bracket:
+                xi1[i] = math.inf   # P1 <= P throughout
+            if bracket or fall:
+                columns.append((i, bracket, fall, xi2))
+            if rising:
+                columns.append((i, None, rising, rise))
+    if columns:
+        sub = [geoms[c[0]] for c in columns]
+
+        def meets(x):
+            q1, q2 = gate.exact_errors_batch(sub, _exp(x[0]), _exp(x[1]))
+            return np.stack((q1, q2)) <= p_target
+
+        ends = np.array([[c[k] or (0.0, 0.0) for c in columns] for k in (1, 2)])
+        found = _bisect(meets, ends[..., 0], ends[..., 1])
+        for (i, bracket, on_p2, table), end1, end2 in zip(columns, *found.tolist()):
+            if bracket:
+                xi1[i] = math.exp(end1)
+            if on_p2:
+                table[i] = math.exp(end2)
+    return [_Window(*w) for w in zip(xi1, xi2, rise)]
 
 
 _ERROR_MODELS = ("exact", "exact_free", "leading")
 
 
-def _feasible_steps(geometry, kappa: float, p_target: float, error_model: str):
+def _feasible_steps(geometry, kappa: float, p_target: float, error_model: str,
+                    window: _Window | None = None):
     """Coroutine: whether kappa reaches p_target at this geometry.
 
-    For 'exact_free' the scale search stops at the first point within the
-    budget: a prefix of the full search's points, with the same answer.
+    Only 'exact' asks for an evaluation.  'exact_free' tests the window of
+    this N; 'leading' tests its closed form.
     """
     if error_model == "exact":
-        return (yield from _max_error_steps(geometry, kappa)) <= p_target
+        x1, x2 = _balanced(geometry, kappa)
+        p1, p2 = yield geometry, x1, x2
+        return max(p1, p2) <= p_target
     if error_model == "exact_free":
-        return (yield from _scale_steps(geometry, kappa, p_target))[0] <= p_target
+        return window.feasible(geometry, kappa)
     # the leading-order truncations N*xi_1gamma/2 and pi^2/(N*xi_2gamma)
     # cross at pi/sqrt(2*kappa) for every N, the least max over the scale
     return gate.overall_error(kappa) <= p_target
@@ -173,25 +334,26 @@ def _check_search(p_target: float, error_model: str) -> None:
 
 
 def _kappa_steps(segments: int, p_target: float, error_model: str, config: SearchConfig,
-                 feasible_at_max: bool | None = None):
+                 feasible_at_max: bool | None = None, window: _Window | None = None):
     """Coroutine form of min_kappa at one N (log-bisection).
 
     feasible_at_max, when known, is the outcome of the first check, at
-    kappa_max, which is then not repeated.
+    kappa_max, which is then not repeated.  window is this N's _Window
+    ('exact_free' only).
     """
     geometry = gate.GateGeometry(3, segments)
     lo, hi = 1.0, config.kappa_max
     if feasible_at_max is None:
-        feasible_at_max = yield from _feasible_steps(geometry, hi, p_target, error_model)
+        feasible_at_max = yield from _feasible_steps(geometry, hi, p_target, error_model, window)
     if not feasible_at_max:
         raise InfeasibleDesignError(
             f"no kappa <= {config.kappa_max:g} reaches P <= {p_target} at N = {segments}"
         )
-    if (yield from _feasible_steps(geometry, lo, p_target, error_model)):
+    if (yield from _feasible_steps(geometry, lo, p_target, error_model, window)):
         return lo
     while hi / lo > 1.0 + KAPPA_TOL:
         mid = math.sqrt(lo * hi)
-        if (yield from _feasible_steps(geometry, mid, p_target, error_model)):
+        if (yield from _feasible_steps(geometry, mid, p_target, error_model, window)):
             hi = mid
         else:
             lo = mid
@@ -204,7 +366,8 @@ def min_kappa(
     error_model: str = "exact",
     config: SearchConfig = SearchConfig(),
 ) -> float:
-    """Minimal kappa reaching the target error at fixed N (log-bisection)."""
+    """Minimal kappa reaching the target error at fixed N: a log-bisection
+    on [1, kappa_max] down to a relative width of KAPPA_TOL."""
     return _KappaScan(p_target, error_model, config).kappa(segments)
 
 
@@ -244,42 +407,23 @@ def design_point(
     error_model: str = "exact",
 ) -> DesignPoint:
     """Search kappa at fixed N and assemble the certified design point."""
-    kappa_at = _KappaScan(p_target, error_model, SearchConfig()).kappa
-    return _certify(p_target, segments, kappa_at, spec, error_model)
+    return _certify(_KappaScan(p_target, error_model, SearchConfig()), segments, spec)
 
 
-def _certify(
-    p_target: float,
-    segments: int,
-    kappa_at,
-    spec: absorber.AtomSpec | None,
-    error_model: str,
-) -> DesignPoint:
-    """Design point at N = segments; kappa_at(N) gives its minimal kappa."""
-    if error_model not in ("exact", "exact_free"):
+def _certify(scan, segments: int, spec: absorber.AtomSpec | None = None) -> DesignPoint:
+    """Design point at N = segments and the scan's min_kappa there."""
+    if scan.error_model not in ("exact", "exact_free"):
         raise ValueError("design points are certified with exact errors only")
-    kappa = kappa_at(segments)
-    rates, _ = gate.optimal_rates(kappa, segments, branches=3)
-    if error_model == "exact_free":
-        _, scale = minimized_max_error(segments, kappa)
-        rates = gate.AbsorberRates(
-            one_photon=scale * rates.one_photon, two_photon=scale * rates.two_photon
-        )
-    geom = gate.GateGeometry(3, segments)
-    p1, p2 = gate.exact_errors(geom, rates)
-    p2_seg, p1_seg = segment_probabilities(segments, kappa)
+    kappa = scan.kappa(segments)
+    scale = 1.0
+    if scan.error_model == "exact_free":
+        error, scale = minimized_max_error(segments, kappa)
+        if error > scan.p_target:   # a window narrower than that bisection resolves
+            scale = scan.windows[segments].scale(gate.GateGeometry(3, segments), kappa)
+    rates = _design_rates(segments, kappa, scale)
+    p1, p2 = gate.exact_errors(gate.GateGeometry(3, segments), rates)
     enh = required_enhancement(kappa, spec) if spec is not None else None
-    return DesignPoint(
-        p_target=p_target,
-        segments=segments,
-        kappa=kappa,
-        rates=rates,
-        p1_exact=p1,
-        p2_exact=p2,
-        p2_segment=p2_seg,
-        p1_segment=p1_seg,
-        enhancement=enh,
-    )
+    return DesignPoint(scan.p_target, segments, kappa, scale, p1, p2, enh)
 
 
 # N searched side by side when a scan needs a new N.  Measured on the design
@@ -294,6 +438,8 @@ class _KappaScan:
 
     A scan step that misses N searches it in lockstep with the next
     _SCAN_CHUNK - 1 N above it (up to n_max), which the scan asks for next.
+    For 'exact_free' that chunk's windows come from one threshold solve,
+    and its kappa bisections make no kernel call.
     """
 
     def __init__(self, p_target: float, error_model: str, config: SearchConfig):
@@ -301,19 +447,23 @@ class _KappaScan:
         self.p_target, self.error_model, self.config = p_target, error_model, config
         self.at_max = {}   # N -> whether kappa_max reaches the target
         self.found = {}    # N -> min_kappa, or its InfeasibleDesignError
+        self.windows = {}  # N -> its _Window ('exact_free' only)
 
     def _fill(self, n: int, table: dict, search, size: int) -> None:
         if n not in table:
             # n itself also past n_max, which min_kappa accepts
             top = min(n + size, self.config.n_max + 1)
             chunk = [n] + [m for m in range(n + 1, top) if m not in table]
+            new = [m for m in chunk if m not in self.windows]
+            if self.error_model == "exact_free" and new:
+                self.windows.update(zip(new, _windows(new, self.p_target, self.config.kappa_max)))
             table.update(zip(chunk, _lockstep([search(m) for m in chunk])))
 
     def feasible(self, n: int) -> bool:
         """Whether some kappa <= kappa_max reaches the target at N = n."""
         def search(m):
             return _feasible_steps(gate.GateGeometry(3, m), self.config.kappa_max,
-                                   self.p_target, self.error_model)
+                                   self.p_target, self.error_model, self.windows.get(m))
 
         self._fill(n, self.at_max, search, _SCAN_CHUNK)
         return self.at_max[n]
@@ -323,7 +473,7 @@ class _KappaScan:
         raises its InfeasibleDesignError."""
         def search(m):
             return _kappa_steps(m, self.p_target, self.error_model, self.config,
-                                self.at_max.get(m))
+                                self.at_max.get(m), self.windows.get(m))
 
         self._fill(n, self.found, search, size)
         kappa = self.found[n]
@@ -358,7 +508,12 @@ def search_feasible_nk(
 
     The scans over N search consecutive N in lockstep chunks (see _KappaScan)
     and give the same points as a search of one N at a time: N found past
-    the point where a scan stops are never used.
+    the point where a scan stops are never used.  For 'exact_free' a chunk
+    is one batched solve for the thresholds of its N, for any p_target in
+    (0, 1) (see _Window), and each kappa bisection replays over them as
+    arithmetic.  Its design point takes the scale of minimized_max_error,
+    or the middle of the window at kappa where that is narrower than the
+    scale bisection resolves.
     """
     strategies = [strategy] if strategy else ["min_n", "balanced", "min_kappa"]
     scan = _KappaScan(p_target, error_model, config)
@@ -390,7 +545,7 @@ def search_feasible_nk(
             n = best
         else:
             raise ValueError("strategy must be 'min_n', 'balanced' or 'min_kappa'")
-        points.append(_certify(p_target, n, scan.kappa, None, error_model))
+        points.append(_certify(scan, n))
     return points
 
 

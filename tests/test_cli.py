@@ -251,6 +251,27 @@ class TestOutputAndFormats:
         assert doc["provenance"]["seed"] == 0
         assert doc["rows"][0]["survival"] == pytest.approx(0.780546069781, rel=1e-11)
 
+    def test_json_writes_infinity_as_the_csv_token(self, capsys, tmp_path):
+        # JSON has no inf: a strict parser rejects the bare Infinity token
+        def strict(text):
+            def refuse(token):
+                raise ValueError(f"non-JSON constant {token}")
+            return json.loads(text, parse_constant=refuse)
+
+        argv = ["gate", "--N", "10", "--xi1", "0.01", "--xi2", "inf"]
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert strict(out)["rows"][0]["xi_2gamma"] == "inf"
+        _, csv_out, _ = run_cli(capsys, *argv)
+        assert parse_csv(csv_out)[1][0]["xi_2gamma"] == "inf"
+        # the printed config is valid JSON too, and reads back as the same run
+        _, cfg_text, _ = run_cli(capsys, *argv, "--print-config")
+        assert strict(cfg_text)["parameters"]["xi2"]["value"] == "inf"
+        cfg = tmp_path / "effective.json"
+        cfg.write_text(cfg_text)
+        _, via_config, _ = run_cli(capsys, "--config", str(cfg))
+        assert via_config == csv_out
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "demo.csv"
         code, out, _ = run_cli(capsys, "demo", "--N", "10", "--output", str(target))

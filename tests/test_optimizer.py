@@ -198,13 +198,23 @@ def ref_search(p, strategy, model, config):
                 scan += 1
         k = kappa_at(n)
         rates, _ = gate.optimal_rates(k, n, branches=3)
+        scale = 1.0
         if model == "exact_free":
             _, scale = ref_min_error(n, k)
             rates = gate.AbsorberRates(scale * rates.one_photon, scale * rates.two_photon)
         p1, p2 = gate.exact_errors(gate.GateGeometry(3, n), rates)
-        p2_seg, p1_seg = segment_probabilities(n, k)
-        points.append(DesignPoint(p, n, k, rates, p1, p2, p2_seg, p1_seg))
+        points.append(DesignPoint(p, n, k, scale, p1, p2))
     return points
+
+
+def lockstep_kappas(segments, p, model, config):
+    """min_kappa of every N in segments from one _lockstep run; for
+    'exact_free' the windows of all of them come from one threshold solve."""
+    windows = {}
+    if model == "exact_free":
+        windows = dict(zip(segments, optimizer._windows(segments, p, config.kappa_max)))
+    return optimizer._lockstep([optimizer._kappa_steps(n, p, model, config, window=windows.get(n))
+                                for n in segments])
 
 
 class TestLockstepSearch:
@@ -218,8 +228,7 @@ class TestLockstepSearch:
     ])
     def test_min_kappa_over_a_list_of_n(self, model, p, segments):
         config = SearchConfig()
-        searches = [optimizer._kappa_steps(n, p, model, config) for n in segments]
-        got = optimizer._lockstep(searches)
+        got = lockstep_kappas(segments, p, model, config)
         outcomes = set()
         for n, kappa in zip(segments, got):
             try:
@@ -284,58 +293,46 @@ class TestScaleOptimum:
         assert err == pytest.approx(height, rel=1e-6)
 
     def test_kernel_evaluations_per_search(self, monkeypatch):
-        # both ends, then 24 midpoints halve the 13.8-wide log bracket to
-        # below SCALE_TOL = 1e-6; the kappa bisection checks 16 kappa at N = 60.
-        # An exact_free check stops at the first point within the budget
-        # P = 0.2: the 6 infeasible kappa take all 26 points (156); 7 feasible
-        # kappa stop at the third, the first midpoint (scale 1, the balanced
-        # rates: 21); the last three feasible kappa, near kappa_min = 94.48,
-        # stop after 14, 14 and 19 points (47).  156 + 21 + 47 = 224.
-        calls, real = [], gate.exact_errors
+        # the scale search: both ends, then 24 midpoints halve the 13.8-wide
+        # log bracket to below SCALE_TOL = 1e-6.  The 'exact' kappa
+        # bisection checks 16 kappa at N = 60, one evaluation each.
+        # 'exact_free' makes no scalar evaluation.  One exact_errors_batch
+        # call holds the two range ends and P2(0) of every N of the chunk (3
+        # elements per N); then each bisection round is one call with one
+        # element per N.  Both log-xi ranges of an N are
+        # ln(1e3 / 1e-3 * sqrt(kappa_max)) = 20.72 wide, and
+        # 20.72 / 2**44 = 1.18e-12 > _XI_TOL = 1e-12 >= 20.72 / 2**45, so every
+        # chunk takes 45 rounds.  The kappa bisections after it are arithmetic.
+        scalar, batch = [], []
+        real_scalar, real_batch = gate.exact_errors, gate.exact_errors_batch
 
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
+        def counted_scalar(*args):
+            scalar.append(args)
+            return real_scalar(*args)
 
-        monkeypatch.setattr(gate, "exact_errors", counted)
+        def counted_batch(geometry, x1, x2):
+            batch.append(len(x1))
+            return real_batch(geometry, x1, x2)
+
+        monkeypatch.setattr(gate, "exact_errors", counted_scalar)
+        monkeypatch.setattr(gate, "exact_errors_batch", counted_batch)
         minimized_max_error(60, 100.0)
-        assert len(calls) == 26
-        for model, evaluations in (("exact", 16), ("exact_free", 224)):
-            calls.clear()
-            min_kappa(60, 0.2, model)
-            assert len(calls) == evaluations
-
-    @staticmethod
-    def scale_points(segments, kappa, budget):
-        """(requests of one scale search, its result), one at a time."""
-        search = optimizer._scale_steps(gate.GateGeometry(3, segments), kappa, budget)
-        requests, value = [], None
-        try:
-            while True:
-                requests.append(search.send(value))
-                geometry, x1, x2 = requests[-1]
-                value = gate.exact_errors(geometry, gate.AbsorberRates(x1, x2))
-        except StopIteration as done:
-            return requests, done.value
-
-    @pytest.mark.parametrize("segments, kappa", [
-        (1, 50.0), (2, 1e6), (4, 3.0), (14, 60.0), (60, 94.5), (60, 1e3), (400, 20.0),
-    ])
-    def test_budget_stops_on_a_prefix_of_the_full_search(self, segments, kappa):
-        full, (least, _) = self.scale_points(segments, kappa, None)
-        heights = sorted({max(gate.exact_errors(g, gate.AbsorberRates(x1, x2)))
-                          for g, x1, x2 in full})
-        # a budget at every evaluated height, just below the least and above all
-        budgets = heights + [least * (1 - 1e-9), heights[-1] * 2]
-        stopped_early = False
-        for budget in budgets:
-            points, (best, _) = self.scale_points(segments, kappa, budget)
-            assert points == full[:len(points)]
-            assert (best <= budget) == (least <= budget)
-            if best > budget:
-                assert points == full
-            stopped_early |= len(points) < len(full)
-        assert stopped_early
+        assert len(scalar) == 26
+        scalar.clear()
+        min_kappa(60, 0.2, "exact")
+        assert len(scalar) == 16
+        scalar.clear()
+        assert not batch
+        for chunk in ([60], list(range(50, 66))):
+            batch.clear()
+            scan = optimizer._KappaScan(0.2, "exact_free", SearchConfig())
+            scan.kappa(chunk[0], len(chunk))
+            assert batch == [3 * len(chunk)] + [len(chunk)] * 45
+            calls = len(batch)
+            for n in chunk:
+                scan.kappa(n)
+            assert len(batch) == calls
+        assert not scalar
 
     # the grid on which the crossing bisection gives the golden-section kappa
     # bit for bit (the two scale searches' minima differ by up to 3e-7)
@@ -346,8 +343,7 @@ class TestScaleOptimum:
         """Check the lockstep exact_free kappa of every N in grid against
         ref_min_kappa with the given scale search; the outcomes seen."""
         config = SearchConfig()
-        got = optimizer._lockstep([optimizer._kappa_steps(n, p, "exact_free", config)
-                                   for n in grid])
+        got = lockstep_kappas(grid, p, "exact_free", config)
         outcomes = set()
         for n, kappa in zip(grid, got):
             ref = ref_min_kappa(n, p, "exact_free", config, min_error)
@@ -370,6 +366,98 @@ class TestScaleOptimum:
     @pytest.mark.parametrize("p", [0.05, 0.12, 0.2, 0.33, 0.45, 0.9])
     def test_kappa_equals_golden_section_search(self, p):
         self.kappa_outcomes(p, self.GOLDEN_GRID_N, golden_min_error)
+
+
+class TestThresholds:
+    """The per-N windows of the 'exact_free' model and the kappa they give."""
+
+    @staticmethod
+    def errors(n, x1, x2):
+        return gate.exact_errors(gate.GateGeometry(3, n), gate.AbsorberRates(x1, x2))
+
+    def test_thresholds_bracket_the_target(self):
+        # each threshold meets P, and a point past it by 2 * _XI_TOL in log xi
+        # (the solve's final bracket is narrower) does not
+        step = math.exp(2 * optimizer._XI_TOL)
+        segments = [1, 2, 3, 4, 10, 60, 400]
+        seen = set()
+        for p in (0.05, 0.2, 0.5, 0.9, 0.98, 0.99, 0.999):
+            for n, w in zip(segments, optimizer._windows(segments, p, 1e6)):
+                if 0.0 < w.xi1 < math.inf:
+                    assert self.errors(n, w.xi1, 0.0)[0] <= p < self.errors(n, w.xi1 * step, 0.0)[0]
+                    seen.add("xi1")
+                if 0.0 < w.xi2 < math.inf:
+                    assert self.errors(n, 0.0, w.xi2)[1] <= p < self.errors(n, 0.0, w.xi2 / step)[1]
+                    seen.add("xi2")
+                if w.rise > 0.0:
+                    assert self.errors(n, 0.0, w.rise)[1] <= p < self.errors(n, 0.0, w.rise * step)[1]
+                    assert self.errors(n, 0.0, 0.0)[1] <= p   # only where P >= P2(0)
+                    seen.add("rise")
+        assert seen == {"xi1", "xi2", "rise"}
+
+    @pytest.mark.parametrize("p", [0.5, 0.9, 0.98, 0.99])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_domain_edges_keep_the_nested_search(self, n, p):
+        # P2(0) is 0.633 at N = 1, where P2 does not depend on xi_2gamma, and
+        # 0.9746 at N = 2.  So N = 1 is infeasible below 0.633, and at
+        # P = 0.98 and 0.99 N = 2 meets P on the rising branch of P2 as well.
+        # ref_min_kappa is the nested scale search the windows replace.
+        for config in (SearchConfig(), SearchConfig(kappa_max=30.0), SearchConfig(kappa_max=1.0)):
+            ref = ref_min_kappa(n, p, "exact_free", config)
+            if ref is None:
+                with pytest.raises(InfeasibleDesignError):
+                    min_kappa(n, p, "exact_free", config)
+            else:
+                assert min_kappa(n, p, "exact_free", config) == ref
+
+    @pytest.mark.parametrize("segments, kappa", [
+        (1, 50.0), (2, 1e6), (4, 3.0), (14, 60.0), (60, 94.5), (60, 1e3), (400, 20.0),
+    ])
+    def test_window_answers_as_the_full_scale_search(self, segments, kappa, monkeypatch):
+        # at fixed kappa, the window says whether some scale meets P; the
+        # nested search asked whether one of its scale search's points did.
+        # They agree for a budget at every height that search evaluates, and
+        # for one 1e-3 below the least: its points end within 1e-6 in log
+        # scale of the crossing, so the least is within about 1e-6 of the
+        # true minimum.
+        heights, real = [], gate.exact_errors
+
+        def recorded(*args):
+            errors = real(*args)
+            heights.append(max(errors))
+            return errors
+
+        monkeypatch.setattr(gate, "exact_errors", recorded)
+        least, _ = ref_min_error(segments, kappa)
+        monkeypatch.undo()
+        geometry = gate.GateGeometry(3, segments)
+        budgets = [h for h in sorted(set(heights)) + [least * (1 - 1e-3)] if h < 1.0]
+        for budget in budgets:
+            window = optimizer._windows([segments], budget, 1e6)[0]
+            assert window.feasible(geometry, kappa) == (least <= budget), budget
+        assert len(budgets) > 2
+
+    def test_rising_branch_alone_can_make_kappa_feasible(self):
+        # N = 2, P = 0.98, kappa = 1: no scale meets P on the falling branch
+        # of P2, but the smallest scale puts xi_2gamma below rise
+        geometry = gate.GateGeometry(3, 2)
+        w = optimizer._windows([2], 0.98, 1.0)[0]
+        bottom, top, x2 = w._falling(geometry, 1.0)
+        assert bottom > top and 1e-3 * x2 <= w.rise
+        assert w.feasible(geometry, 1.0)
+        assert min_kappa(2, 0.98, "exact_free", SearchConfig(kappa_max=1.0)) == 1.0
+
+    def test_kappa_inside_a_window_the_scale_bisection_misses(self):
+        # at N = 64 and P = 0.2 the kappa bisection tries 93.608, where the
+        # scales that meet P span 1.3e-8 in log scale.  The nested search,
+        # whose scale bisection stops at 1e-6, found none there and returned
+        # the next kappa up, 8.4e-4 higher (below KAPPA_TOL).  The design
+        # point then takes its scale from the window.
+        kappa = min_kappa(64, 0.2, "exact_free")
+        assert kappa < ref_min_kappa(64, 0.2, "exact_free", SearchConfig()) < kappa * (1 + KAPPA_TOL)
+        assert ref_min_error(64, kappa)[0] > 0.2
+        pt = design_point(0.2, 64, error_model="exact_free")
+        assert pt.kappa == kappa and max(pt.p1_exact, pt.p2_exact) <= 0.2
 
 
 class TestSegmentProbabilities:
@@ -430,6 +518,21 @@ class TestDesignPointsAndSearch:
         assert max(pt.p1_exact, pt.p2_exact) <= 0.25
         assert pt.rates.kappa == pytest.approx(pt.kappa, rel=1e-12)
         assert pt.enhancement >= 1
+
+    @pytest.mark.parametrize("model", ["exact", "exact_free"])
+    def test_design_point_is_lean(self, model):
+        # seven slots and no __dict__; the derived fields are recomputed
+        # with the expressions of the search, bit for bit
+        for pt in search_feasible_nk(0.25, error_model=model, config=SearchConfig(n_max=60)):
+            assert not hasattr(pt, "__dict__")
+            rates, _ = gate.optimal_rates(pt.kappa, pt.segments, branches=3)
+            if model == "exact":
+                assert pt.scale == 1.0 and pt.rates == rates
+            assert pt.rates == gate.AbsorberRates(pt.scale * rates.one_photon,
+                                                  pt.scale * rates.two_photon)
+            assert (pt.p2_segment, pt.p1_segment) == segment_probabilities(pt.segments, pt.kappa)
+            assert (pt.p1_exact, pt.p2_exact) == gate.exact_errors(
+                gate.GateGeometry(3, pt.segments), pt.rates)
 
     def test_strategies(self):
         config = SearchConfig(kappa_max=2000.0, n_max=60)

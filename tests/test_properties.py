@@ -20,12 +20,15 @@ DECAYS = st.sampled_from((0.0, math.inf)) | st.floats(-8.0, 1.0).map(lambda e: 1
 GEOMETRIES = st.tuples(st.integers(1, 100_000), st.none() | st.floats(1e-6, 3.0))
 
 
-@settings(max_examples=10_000, derandomize=True, deadline=None,
+# Drawing dominates this test's time, per example and per element alike.
+# Batches of up to 64 elements let 3,500 examples check 22,889 elements;
+# 10,000 examples of up to 3 checked 22,151.
+@settings(max_examples=3_500, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(
     branches=st.sampled_from((2, 3)),
     uniform=st.booleans(),
-    elements=st.lists(st.tuples(GEOMETRIES, DECAYS, DECAYS), min_size=1, max_size=3),
+    elements=st.lists(st.tuples(GEOMETRIES, DECAYS, DECAYS), min_size=1, max_size=64),
 )
 def test_batch_equals_scalar_bit_for_bit(branches, uniform, elements):
     # one geometry for the whole batch, or one per element
@@ -77,6 +80,11 @@ def cli_argv(draw):
         "--k2L": NUMBERS, "--g13": NUMBERS, "--g12": NUMBERS, "--g11": NUMBERS})
 
 
+def reject_non_json(token):
+    # json.loads takes NaN, Infinity and -Infinity, which JSON does not have
+    raise ValueError(f"not JSON: {token}")
+
+
 @settings(max_examples=200, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(argv=cli_argv())
@@ -88,7 +96,7 @@ def test_cli_exits_cleanly_with_probabilities_in_range(argv):
         code = cli.main(argv + ["--format", "json"])
     assert code in (0, 2, 3, 4)
     if code == 0:
-        doc = json.loads(out.getvalue())
+        doc = json.loads(out.getvalue(), parse_constant=reject_non_json)
         for row in doc["rows"]:
             for name, unit in doc["units"].items():
                 if unit == "probability":
