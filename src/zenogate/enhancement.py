@@ -75,29 +75,31 @@ def phase_sum_sq_closed_form(phase_step: float, count: int) -> float:
     """|phase_sum|^2 = (cos(n*t)-1)/(cos(t)-1), via the half-angle form.
 
     sin^2(n*t/2)/sin^2(t/2) is the same expression, better conditioned near
-    small t.  Singular at t in 2*pi*Z (where the sum is just n).
+    small t; t is first reduced to [-pi, pi], which keeps that conditioning
+    near every point of 2*pi*Z.  Singular at t in 2*pi*Z (where the sum is just n).
     """
-    s = math.sin(0.5 * phase_step)
+    t = math.remainder(phase_step, 2.0 * math.pi)
+    s = math.sin(0.5 * t)
     if s == 0.0:
         return float(count**2)
-    return (math.sin(0.5 * count * phase_step) / s) ** 2
+    return (math.sin(0.5 * count * t) / s) ** 2
 
 
 def multipass_probabilities(spec: MultiPassSpec) -> MultiPassProbabilities:
     """Per-process probabilities after n passes.
 
     The two-photon amplitude carries the phase (k1+k2)*L per pass, one-photon
-    absorption the phase k1*L; their phase sums are accumulated in complex
-    arithmetic.  Scattering amplitudes of different passes are orthogonal, so
-    only the probabilities add.
+    absorption the phase k1*L; the squared moduli of their phase sums come
+    from the closed form, in O(1) for any n.  Scattering amplitudes of
+    different passes are orthogonal, so only the probabilities add.
     """
     two_phase = (spec.k1 + spec.k2) * spec.path_length
     one_phase = spec.k1 * spec.path_length
-    t2 = spec.tau**2
+    t2, n = spec.tau**2, spec.passes
     return MultiPassProbabilities(
-        two_photon=t2 * abs(spec.g13) ** 2 * abs(phase_sum(two_phase, spec.passes)) ** 2,
-        one_photon_absorption=t2 * abs(spec.g12) ** 2 * abs(phase_sum(one_phase, spec.passes)) ** 2,
-        one_photon_scatter=t2 * abs(spec.g11) ** 2 * spec.passes,
+        two_photon=t2 * abs(spec.g13) ** 2 * phase_sum_sq_closed_form(two_phase, n),
+        one_photon_absorption=t2 * abs(spec.g12) ** 2 * phase_sum_sq_closed_form(one_phase, n),
+        one_photon_scatter=t2 * abs(spec.g11) ** 2 * n,
     )
 
 

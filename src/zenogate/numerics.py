@@ -186,18 +186,16 @@ def _power_each(m: np.ndarray, n: int, ks: np.ndarray) -> np.ndarray:
     return result
 
 
-def bisect_steps(lo: float, hi: float, tol: float, max_steps: int | None = None):
-    """Bisection on the sign of a function f as a coroutine.
+def bisect(f, lo: float, hi: float, tol: float, max_steps: int | None = None):
+    """Bisection on the sign of f: the final bracket (lo, hi).
 
-    Yields lo, then hi, then midpoints, and is sent f at each point.  A
-    midpoint where f < 0 replaces lo, any other replaces hi.  Returns the
-    final bracket (lo, hi) once hi - lo <= tol, after max_steps midpoints, or
-    when the midpoint is an end (adjacent floats: no later step would move
-    one).  Returns None after the two ends when f(lo) > 0 or f(hi) < 0, which
-    bracket no sign change.
+    Evaluates f at lo, then at hi, then at midpoints.  A midpoint where
+    f < 0 replaces lo, any other replaces hi.  Stops once hi - lo <= tol,
+    after max_steps midpoints, or when the midpoint is an end (adjacent
+    floats: no later step would move one).  None after the two ends when
+    f(lo) > 0 or f(hi) < 0, which bracket no sign change.
     """
-    f_lo = yield lo
-    f_hi = yield hi
+    f_lo, f_hi = f(lo), f(hi)
     if f_lo > 0.0 or f_hi < 0.0:
         return None
     steps = 0
@@ -205,22 +203,12 @@ def bisect_steps(lo: float, hi: float, tol: float, max_steps: int | None = None)
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if (yield mid) < 0.0:
+        if f(mid) < 0.0:
             lo = mid
         else:
             hi = mid
         steps += 1
     return lo, hi
-
-
-def run_steps(steps, f):
-    """Drive a search coroutine such as bisect_steps with f; its result."""
-    x = next(steps)
-    while True:
-        try:
-            x = steps.send(f(x))
-        except StopIteration as done:
-            return done.value
 
 
 def golden_minimize(f, lo: float, hi: float, tol: float) -> float:

@@ -12,16 +12,17 @@ it returns kappa = pi^2/(2P^2) to within KAPPA_TOL, and
 'exact_free', which additionally lets the absorber scale s in [1e-3, 1e3]
 vary and therefore returns the true (slightly smaller) minimum.
 
-Every model bisects log kappa at fixed N the same way.  'exact' evaluates
-the gate at each step.  'exact_free' first solves, once per N, for the
-thresholds of the paper's feasibility question at finite N: the largest
-xi_1gamma with P1 <= P and the smallest xi_2gamma past the peak of P2 with
-P2 <= P (and, for P >= P2(0), the largest before it; see _Window).  A
-kappa step is then the arithmetic test whether some scale puts both
-balanced rates inside them, so the bisection visits the same kappa as an
-evaluating search would, with no kernel call.  The thresholds rest on P1
-rising with xi_1gamma and P2 rising and then falling with xi_2gamma, as
-measured (up to rounding) for N from 1 to 1000.
+Every model bisects log kappa the same way, in one loop over a chunk of N
+whose rounds test the next kappa of every unfinished N together
+(_min_kappas): for 'exact' a round is one kernel call.  'exact_free' first
+solves, once per N, for the thresholds of the paper's feasibility question
+at finite N: the largest xi_1gamma with P1 <= P and the smallest xi_2gamma
+past the peak of P2 with P2 <= P (and, for P >= P2(0), the largest before
+it; see _Window).  A kappa step is then the arithmetic test whether some
+scale puts both balanced rates inside them, so the bisection visits the
+same kappa as an evaluating search would, with no kernel call.  The
+thresholds rest on P1 rising with xi_1gamma and P2 rising and then falling
+with xi_2gamma, as measured (up to rounding) for N from 1 to 1000.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import absorber, gate
-from .numerics import bisect_steps, golden_minimize, run_steps
+from .numerics import bisect, golden_minimize
 
 SQRT2 = math.sqrt(2.0)
 KAPPA_TOL = 1e-3   # relative bisection width in kappa
@@ -53,8 +54,8 @@ class SearchConfig:
         # kappa is bisected on [1, kappa_max]
         if not 1.0 <= self.kappa_max < math.inf:
             raise ValueError("kappa_max must be finite and >= 1")
-        if not self.n_max >= 1:
-            raise ValueError("n_max must be >= 1")
+        if not isinstance(self.n_max, (int, np.integer)) or self.n_max < 1:
+            raise ValueError("n_max must be an integer >= 1")
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,45 +94,6 @@ def _design_rates(segments: int, kappa: float, scale: float) -> gate.AbsorberRat
     return gate.AbsorberRates(scale * rates.one_photon, scale * rates.two_photon)
 
 
-# The 'exact' searches are coroutines: each yields (geometry, one_photon,
-# two_photon) of the three-branch gate and is sent the exact (P1, P2) there.
-# _lockstep runs many of them side by side, so that one stacked kernel call
-# serves a whole search step; a single search is the one-element case.  The
-# other models' searches never yield: their feasibility test is arithmetic.
-
-def _lockstep(searches: list) -> list:
-    """Run search coroutines side by side; each one's result, in order.
-
-    Every round takes the next request of every unfinished search and sends
-    them all to the kernel at once: the scalar exact_errors for one request,
-    one exact_errors_batch call for more.  The requests and the bookkeeping
-    of each search are the same as when it runs alone, so the results are
-    too.  A search that raises InfeasibleDesignError has the exception as its
-    result.
-    """
-    results = [None] * len(searches)
-    live = list(enumerate(searches))
-    values = [None] * len(live)
-    while live:
-        running, requests = [], []
-        for (i, search), value in zip(live, values):
-            try:
-                requests.append(search.send(value))
-                running.append((i, search))
-            except StopIteration as done:
-                results[i] = done.value
-            except InfeasibleDesignError as exc:
-                results[i] = exc
-        live = running
-        if len(requests) == 1:
-            geometry, x1, x2 = requests[0]
-            values = [gate.exact_errors(geometry, gate.AbsorberRates(x1, x2))]
-        elif requests:
-            p1, p2 = gate.exact_errors_batch(*zip(*requests))
-            values = zip(p1.tolist(), p2.tolist())
-    return results
-
-
 def _balanced(geometry: gate.GateGeometry, kappa: float) -> tuple[float, float]:
     rates, _ = gate.optimal_rates(kappa, geometry.segments, branches=3)
     return rates.one_photon, rates.two_photon
@@ -163,7 +125,7 @@ def minimized_max_error(segments: int, kappa: float) -> tuple[float, float]:
             best = max(p1, p2), scale
         return p1 - p2
 
-    run_steps(bisect_steps(math.log(_SCALES[0]), math.log(_SCALES[1]), SCALE_TOL), diff)
+    bisect(diff, math.log(_SCALES[0]), math.log(_SCALES[1]), SCALE_TOL)
     return best
 
 
@@ -308,22 +270,26 @@ def _windows(segments: list[int], p_target: float, kappa_max: float) -> list[_Wi
 _ERROR_MODELS = ("exact", "exact_free", "leading")
 
 
-def _feasible_steps(geometry, kappa: float, p_target: float, error_model: str,
-                    window: _Window | None = None):
-    """Coroutine: whether kappa reaches p_target at this geometry.
+def _feasible(geoms: list, kappas: list, p_target: float, error_model: str,
+              windows: dict) -> list[bool]:
+    """Whether each kappa reaches p_target at its geometry.
 
-    Only 'exact' asks for an evaluation.  'exact_free' tests the window of
-    this N; 'leading' tests its closed form.
+    'exact' evaluates the balanced rates of all of them in one kernel call:
+    the scalar exact_errors for one, exact_errors_batch for more.
+    'exact_free' tests the _Window of each N in windows; 'leading' tests its
+    closed form.
     """
     if error_model == "exact":
-        x1, x2 = _balanced(geometry, kappa)
-        p1, p2 = yield geometry, x1, x2
-        return max(p1, p2) <= p_target
+        rates = [_balanced(g, k) for g, k in zip(geoms, kappas)]
+        if len(geoms) == 1:
+            return [max(gate.exact_errors(geoms[0], gate.AbsorberRates(*rates[0]))) <= p_target]
+        p1, p2 = gate.exact_errors_batch(geoms, *zip(*rates))
+        return (np.maximum(p1, p2) <= p_target).tolist()
     if error_model == "exact_free":
-        return window.feasible(geometry, kappa)
+        return [windows[g.segments].feasible(g, k) for g, k in zip(geoms, kappas)]
     # the leading-order truncations N*xi_1gamma/2 and pi^2/(N*xi_2gamma)
     # cross at pi/sqrt(2*kappa) for every N, the least max over the scale
-    return gate.overall_error(kappa) <= p_target
+    return [gate.overall_error(k) <= p_target for k in kappas]
 
 
 def _check_search(p_target: float, error_model: str) -> None:
@@ -333,31 +299,40 @@ def _check_search(p_target: float, error_model: str) -> None:
         raise ValueError("error_model must be 'exact', 'exact_free' or 'leading'")
 
 
-def _kappa_steps(segments: int, p_target: float, error_model: str, config: SearchConfig,
-                 feasible_at_max: bool | None = None, window: _Window | None = None):
-    """Coroutine form of min_kappa at one N (log-bisection).
+def _min_kappas(segments: list[int], p_target: float, error_model: str,
+                config: SearchConfig, at_max: dict, windows: dict) -> list:
+    """min_kappa at every N in segments, or its InfeasibleDesignError.
 
-    feasible_at_max, when known, is the outcome of the first check, at
-    kappa_max, which is then not repeated.  window is this N's _Window
-    ('exact_free' only).
+    Each N is a log-bisection on [1, kappa_max] down to a relative width of
+    KAPPA_TOL.  Every round tests the next kappa of every unfinished N
+    together: kappa_max, unless at_max (N -> whether kappa_max reaches the
+    target) already holds it, then 1, then the geometric middle of the
+    bracket.  windows holds each N's _Window ('exact_free' only).
     """
-    geometry = gate.GateGeometry(3, segments)
-    lo, hi = 1.0, config.kappa_max
-    if feasible_at_max is None:
-        feasible_at_max = yield from _feasible_steps(geometry, hi, p_target, error_model, window)
-    if not feasible_at_max:
-        raise InfeasibleDesignError(
-            f"no kappa <= {config.kappa_max:g} reaches P <= {p_target} at N = {segments}"
-        )
-    if (yield from _feasible_steps(geometry, lo, p_target, error_model, window)):
-        return lo
-    while hi / lo > 1.0 + KAPPA_TOL:
-        mid = math.sqrt(lo * hi)
-        if (yield from _feasible_steps(geometry, mid, p_target, error_model, window)):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    geoms = {n: gate.GateGeometry(3, n) for n in segments}
+    at_max, found = dict(at_max), {}
+    lo, hi = dict.fromkeys(segments, 1.0), dict.fromkeys(segments, config.kappa_max)
+    nxt = {n: 1.0 if n in at_max else config.kappa_max for n in segments if at_max.get(n, True)}
+    while nxt:
+        ok = _feasible([geoms[n] for n in nxt], list(nxt.values()), p_target, error_model, windows)
+        tested, nxt = nxt, {}
+        for (n, kappa), good in zip(tested.items(), ok):
+            if n not in at_max:   # kappa_max: where it fails, N is infeasible
+                at_max[n] = good
+                if good:
+                    nxt[n] = 1.0
+                continue
+            if good:   # at kappa = 1 this closes the bracket at 1
+                hi[n] = kappa
+            else:
+                lo[n] = kappa
+            if hi[n] / lo[n] > 1.0 + KAPPA_TOL:
+                nxt[n] = math.sqrt(lo[n] * hi[n])
+            else:
+                found[n] = hi[n]
+    return [found[n] if n in found else InfeasibleDesignError(
+        f"no kappa <= {config.kappa_max:g} reaches P <= {p_target} at N = {n}")
+        for n in segments]
 
 
 def min_kappa(
@@ -377,8 +352,9 @@ def segment_probabilities(segments: int, kappa: float) -> tuple[float, float]:
     P2_seg = 1 - exp(-2*sqrt(kappa)*sqrt(2)*pi/N) and
     P1_seg = 1 - exp(-2*sqrt(2)*pi/(sqrt(kappa)*N)) for the three-branch gate.
     """
-    if not (kappa > 0.0 and segments >= 1):  # NaN fails; kappa = inf: perfect absorber
-        raise ValueError("kappa must be > 0 and segments >= 1")
+    gate._check_segments(segments)
+    if not kappa > 0.0:  # NaN fails; kappa = inf: perfect absorber
+        raise ValueError("kappa must be > 0")
     x2 = math.sqrt(kappa) * SQRT2 * math.pi / segments
     x1 = SQRT2 * math.pi / (math.sqrt(kappa) * segments)
     return 1.0 - math.exp(-2.0 * x2), 1.0 - math.exp(-2.0 * x1)
@@ -436,7 +412,7 @@ class _KappaScan:
     """Feasibility and min_kappa(N) of one design search, kept once found;
     min_kappa and design_point use it for their one N.
 
-    A scan step that misses N searches it in lockstep with the next
+    A scan step that misses N searches it together with the next
     _SCAN_CHUNK - 1 N above it (up to n_max), which the scan asks for next.
     For 'exact_free' that chunk's windows come from one threshold solve,
     and its kappa bisections make no kernel call.
@@ -449,33 +425,34 @@ class _KappaScan:
         self.found = {}    # N -> min_kappa, or its InfeasibleDesignError
         self.windows = {}  # N -> its _Window ('exact_free' only)
 
-    def _fill(self, n: int, table: dict, search, size: int) -> None:
-        if n not in table:
-            # n itself also past n_max, which min_kappa accepts
-            top = min(n + size, self.config.n_max + 1)
-            chunk = [n] + [m for m in range(n + 1, top) if m not in table]
-            new = [m for m in chunk if m not in self.windows]
-            if self.error_model == "exact_free" and new:
-                self.windows.update(zip(new, _windows(new, self.p_target, self.config.kappa_max)))
-            table.update(zip(chunk, _lockstep([search(m) for m in chunk])))
+    def _chunk(self, n: int, table: dict, size: int) -> list[int]:
+        """n and the N above it that table lacks, at most size of them and
+        none past n_max but n, with their windows ('exact_free')."""
+        # n itself also past n_max, which min_kappa accepts
+        top = min(n + size, self.config.n_max + 1)
+        chunk = [n] + [m for m in range(n + 1, top) if m not in table]
+        new = [m for m in chunk if m not in self.windows]
+        if self.error_model == "exact_free" and new:
+            self.windows.update(zip(new, _windows(new, self.p_target, self.config.kappa_max)))
+        return chunk
 
     def feasible(self, n: int) -> bool:
         """Whether some kappa <= kappa_max reaches the target at N = n."""
-        def search(m):
-            return _feasible_steps(gate.GateGeometry(3, m), self.config.kappa_max,
-                                   self.p_target, self.error_model, self.windows.get(m))
-
-        self._fill(n, self.at_max, search, _SCAN_CHUNK)
+        if n not in self.at_max:
+            chunk = self._chunk(n, self.at_max, _SCAN_CHUNK)
+            ok = _feasible([gate.GateGeometry(3, m) for m in chunk],
+                           [self.config.kappa_max] * len(chunk),
+                           self.p_target, self.error_model, self.windows)
+            self.at_max.update(zip(chunk, ok))
         return self.at_max[n]
 
     def kappa(self, n: int, size: int = 1) -> float:
         """min_kappa at N = n, searched with size - 1 N above it if missing;
         raises its InfeasibleDesignError."""
-        def search(m):
-            return _kappa_steps(m, self.p_target, self.error_model, self.config,
-                                self.at_max.get(m), self.windows.get(m))
-
-        self._fill(n, self.found, search, size)
+        if n not in self.found:
+            chunk = self._chunk(n, self.found, size)
+            self.found.update(zip(chunk, _min_kappas(chunk, self.p_target, self.error_model,
+                                                     self.config, self.at_max, self.windows)))
         kappa = self.found[n]
         if isinstance(kappa, InfeasibleDesignError):
             raise kappa
@@ -506,7 +483,7 @@ def search_feasible_nk(
     N since kappa(N) is non-increasing; 'balanced': minimize N*sqrt(kappa).
     strategy=None returns all three in that order.
 
-    The scans over N search consecutive N in lockstep chunks (see _KappaScan)
+    The scans over N search chunks of consecutive N together (see _KappaScan)
     and give the same points as a search of one N at a time: N found past
     the point where a scan stops are never used.  For 'exact_free' a chunk
     is one batched solve for the thresholds of its N, for any p_target in
@@ -629,6 +606,8 @@ def error_curve(
 
 def exact_crossing(kappa: float, segments: int, branches: int = 2) -> tuple[float, float]:
     """(xi_2gamma, error) where the exact P1 and P2 curves intersect."""
+    if not kappa > 0.0:  # also rejects NaN
+        raise ValueError("kappa must be positive")
     geom = gate.GateGeometry(branches, segments)
 
     def diff(x2):
@@ -637,7 +616,7 @@ def exact_crossing(kappa: float, segments: int, branches: int = 2) -> tuple[floa
         )
         return p1 - p2
 
-    bracket = run_steps(bisect_steps(1e-9, 10.0, 0.0, 80), diff)
+    bracket = bisect(diff, 1e-9, 10.0, 0.0, 80)
     if bracket is None:
         raise ValueError("no crossing bracketed in (0, 10]")
     lo, hi = bracket

@@ -2,12 +2,15 @@
 
 import math
 import re
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from zenogate.absorber import absorption_ratio, intensity_from_si, optical_example
 from zenogate.enhancement import (
+    MultiPassProbabilities,
     MultiPassSpec,
     PumpSpec,
     dense_quasispin_raise,
@@ -71,6 +74,31 @@ class TestMultiPass:
                 brute = abs(phase_sum(theta, n)) ** 2
                 closed = phase_sum_sq_closed_form(theta, n)
                 assert brute == pytest.approx(closed, rel=1e-10, abs=1e-10)
+
+    @pytest.mark.parametrize("n", [16, 100, 1000, 10**5])
+    @pytest.mark.parametrize("theta", [TWO_PI, 4.0 * math.pi + 1e-9, 0.5])
+    def test_closed_form_matches_50_digits(self, theta, n):
+        # near t in 2*pi*Z: at t = fl(2*pi) the unreduced form gave 257.3 for
+        # n = 100 (|S|^2 = 1e4) and 6.89e6 > n^2 for n = 1000
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            t = mpmath.mpf(theta)
+            ref = (mpmath.sin(n * t / 2) / mpmath.sin(t / 2)) ** 2
+        closed = phase_sum_sq_closed_form(theta, n)
+        assert abs(closed - ref) <= 1e-9 * ref
+        assert closed <= n**2
+
+    def test_many_passes_take_constant_time_and_memory(self):
+        spec = MultiPassSpec(passes=10**8, k1=1.0, k2=1.0, path_length=1.0,
+                             tau=0.0, g13=1.0, g12=1.0, g11=1.0)
+        tracemalloc.start()
+        start = time.perf_counter()
+        probs = multipass_probabilities(spec)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert probs == MultiPassProbabilities(0.0, 0.0, 0.0)
+        assert elapsed < 0.5 and peak < 1e6
 
     def test_one_photon_phase_sum_is_bounded(self):
         for theta in (0.3, 1.0, 2.0):

@@ -407,7 +407,7 @@ def ref_crossing(kappa, segments, branches):
 
 
 def loop_crossing(kappa, segments, branches):
-    """exact_crossing's own loop before it was driven by numerics.bisect_steps:
+    """exact_crossing's own loop before it was driven by numerics.bisect:
     (x2, P1, kernel evaluations)."""
     geom = GateGeometry(branches, segments)
     calls = []
@@ -491,6 +491,12 @@ class TestExactCrossing:
             1.0 + 1.0 / (2.0 * kappa))
         assert abs(height - second_order) <= 1e-5
         assert abs(x2 - (p0 - 1.0 / (4.0 * kappa)) * kappa / n) <= 1e-4
+
+    @pytest.mark.parametrize("kappa", [0.0, -5.0, math.nan])
+    def test_rejects_a_non_positive_kappa(self, kappa):
+        # 0 divided by zero and -5 was blamed on the decay exponent
+        with pytest.raises(ValueError, match="kappa must be positive"):
+            optimizer.exact_crossing(kappa, 10)
 
 
 class TestAsymptotics:

@@ -10,12 +10,11 @@ from zenogate.numerics import (
     HBAR_EV_S,
     UnitError,
     _power_each,
-    bisect_steps,
+    bisect,
     convert,
     golden_minimize,
     mat_power,
     rotation2,
-    run_steps,
 )
 
 
@@ -115,7 +114,7 @@ class TestBisectSteps:
             points.append(x)
             return f(x)
 
-        return run_steps(bisect_steps(*args), visit), points
+        return bisect(visit, *args), points
 
     def test_brackets_the_sign_change(self):
         (lo, hi), points = self.points(lambda x: x * x - 2.0, 0.0, 2.0, 1e-12)

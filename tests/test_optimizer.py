@@ -78,7 +78,7 @@ class TestMinKappa:
 class TestSearchConfig:
     @pytest.mark.parametrize("field, value", [
         ("kappa_max", 0.9), ("kappa_max", math.inf), ("kappa_max", math.nan),
-        ("n_max", 0), ("n_max", -3),
+        ("n_max", 0), ("n_max", -3), ("n_max", 12.5), ("n_max", 5.0),
     ])
     def test_rejects_bad_fields(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -208,13 +208,12 @@ def ref_search(p, strategy, model, config):
 
 
 def lockstep_kappas(segments, p, model, config):
-    """min_kappa of every N in segments from one _lockstep run; for
+    """min_kappa of every N in segments from one _min_kappas run; for
     'exact_free' the windows of all of them come from one threshold solve."""
     windows = {}
     if model == "exact_free":
         windows = dict(zip(segments, optimizer._windows(segments, p, config.kappa_max)))
-    return optimizer._lockstep([optimizer._kappa_steps(n, p, model, config, window=windows.get(n))
-                                for n in segments])
+    return optimizer._min_kappas(segments, p, model, config, {}, windows)
 
 
 class TestLockstepSearch:
@@ -295,7 +294,9 @@ class TestScaleOptimum:
     def test_kernel_evaluations_per_search(self, monkeypatch):
         # the scale search: both ends, then 24 midpoints halve the 13.8-wide
         # log bracket to below SCALE_TOL = 1e-6.  The 'exact' kappa
-        # bisection checks 16 kappa at N = 60, one evaluation each.
+        # bisection checks 16 kappa at N = 60, one evaluation each: kappa_max,
+        # 1, then 14 midpoints, as 1e6**(2**-14) <= 1.001 < 1e6**(2**-13).
+        # A chunk of 16 N makes those 16 rounds as 16 batch calls of 16.
         # 'exact_free' makes no scalar evaluation.  One exact_errors_batch
         # call holds the two range ends and P2(0) of every N of the chunk (3
         # elements per N); then each bisection round is one call with one
@@ -323,6 +324,8 @@ class TestScaleOptimum:
         assert len(scalar) == 16
         scalar.clear()
         assert not batch
+        optimizer._KappaScan(0.2, "exact", SearchConfig()).kappa(50, 16)
+        assert batch == [16] * 16 and not scalar
         for chunk in ([60], list(range(50, 66))):
             batch.clear()
             scan = optimizer._KappaScan(0.2, "exact_free", SearchConfig())
@@ -481,7 +484,7 @@ class TestSegmentProbabilities:
             segment_probabilities(10, 0.0)
 
     def test_rejects_nan_and_keeps_the_infinite_limit(self):
-        for segments, kappa in ((10, math.nan), (math.nan, 10.0)):
+        for segments, kappa in ((10, math.nan), (math.nan, 10.0), (2.5, 10.0), (5.0, 10.0)):
             with pytest.raises(ValueError):
                 segment_probabilities(segments, kappa)
         assert segment_probabilities(10, math.inf) == (1.0, 0.0)
