@@ -17,15 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .numerics import (
     ALPHA_QED,
     BOHR_RADIUS_INV_EV,
     ELECTRON_MASS_EV,
     HBAR_EV_S,
     HBARC_EV_NM,
-    WATT_PER_CM2_EV4,
     convert,
 )
 
@@ -188,7 +185,7 @@ def two_photon_absorption_prob(spec: AtomSpec) -> float:
     )
     if spec.lambda_scheme:
         p *= spec.coupling_ratio**2
-    return p
+    return _single_atom(p, "two-photon absorption")
 
 
 def scattering_bracket(spec: AtomSpec, detuning: float, include_a2_term: bool = True) -> float:
@@ -222,6 +219,14 @@ def one_photon_scattering_prob(
     p = 8.0 * ALPHA_QED**2 / (3.0 * math.pi) * total * spec.dipole_length**4 / spec.beam_area
     if spec.lambda_scheme:
         p *= spec.coupling_ratio**4
+    return _single_atom(p, "one-photon scattering")
+
+
+def _single_atom(p: float, process: str) -> float:
+    """p, if at most 1 (first-order perturbation theory holds for p << 1)."""
+    if not p <= 1.0:  # also rejects NaN
+        raise ValueError(f"single-atom {process} probability {p:.3g} exceeds 1: "
+                         "the beam area is too small for the dipole length")
     return p
 
 
@@ -306,8 +311,7 @@ def middle_level_population(g12_a1: complex, g23_a2: complex, detuning: float) -
 def pump_detuning_threshold(intensity: float, dipole_length: float) -> float:
     """Scale sqrt(4*pi*alpha*I)*l the pump detuning must exceed.
 
-    `intensity` in natural units (eV^4); multiply W/cm^2 values by
-    WATT_PER_CM2_EV4 first.
+    `intensity` in natural units (eV^4): convert(x, "W/cm^2", "eV^4").
     """
     return math.sqrt(FOUR_PI_ALPHA * intensity) * dipole_length
 
@@ -316,24 +320,3 @@ def pump_safe(detuning: float, intensity: float, dipole_length: float) -> bool:
     """Whether Delta' clears the middle-level threshold by a factor of ten."""
     return detuning >= 10.0 * pump_detuning_threshold(intensity, dipole_length)
 
-
-def intensity_from_si(watts_per_cm2: float) -> float:
-    """W/cm^2 to natural units (eV^4)."""
-    return watts_per_cm2 * WATT_PER_CM2_EV4
-
-
-def polarization_sum_quadrature(v: np.ndarray, samples: int = 400) -> float:
-    """Angular integral sum_pol |v . eps(theta, phi)|^2 by midpoint quadrature.
-
-    Independent check of the 8*pi/3 prefactor in the scattering formula: the
-    integral equals (8*pi/3)*|v|^2 for any vector v.
-    """
-    v = np.asarray(v, dtype=float)
-    theta = (np.arange(samples) + 0.5) * math.pi / samples
-    phi = (np.arange(2 * samples) + 0.5) * 2.0 * math.pi / (2 * samples)
-    th, ph = np.meshgrid(theta, phi, indexing="ij")
-    eps1 = np.stack([np.sin(ph), -np.cos(ph), np.zeros_like(ph)], axis=-1)
-    eps2 = np.stack([np.cos(th) * np.cos(ph), np.cos(th) * np.sin(ph), -np.sin(th)], axis=-1)
-    weight = np.sin(th) * (math.pi / samples) * (2.0 * math.pi / (2 * samples))
-    total = ((eps1 @ v) ** 2 + (eps2 @ v) ** 2) * weight
-    return float(np.sum(total))

@@ -5,8 +5,9 @@ artifact starts with a provenance block (version, seed, config hash) and
 formats floats at 12 significant digits so regression diffs stay
 meaningful.  Identical (config, seed) produce byte-identical output.
 
-Exit codes: 0 success, 2 invalid arguments or units, 3 infeasible design
-search, 4 I/O failure.
+Exit codes: 0 success, 2 invalid arguments or units, or inputs whose
+evaluation overflows, divides by zero or exhausts memory, 3 infeasible
+design search, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -120,9 +121,7 @@ class CliError(Exception):
 
 def _coerce(command: str, name: str, value, unit: str | None):
     """Validate one parameter against its declaration; return compute value."""
-    spec = PARAMS[command].get(name)
-    if spec is None:
-        raise CliError(f"unknown parameter {name!r} for command {command!r}")
+    spec = PARAMS[command][name]
     if spec.kind == "flag":
         return bool(value)
     if spec.kind == "choice":
@@ -326,7 +325,7 @@ def _run_gate(p, seed):
     else:
         raise CliError("give either kappa or both xi1 and xi2")
     p1, p2 = gate.exact_errors(geom, rates)
-    a1, a2 = gate.asymptotic_errors(geom, rates, "leading")
+    a1, a2 = gate.leading_errors(geom, rates.one_photon, rates.two_photon)
     exact, approx = (p2, a2) if p["control"] else (p1, a1)
     return [{
         "branches": branches, "segments": n, "epsilon": geom.angle,
@@ -528,6 +527,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except (ArithmeticError, MemoryError) as exc:  # inputs beyond float range or memory
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

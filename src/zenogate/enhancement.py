@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -65,14 +64,8 @@ class MultiPassProbabilities:
     one_photon_scatter: float
 
 
-def phase_sum(phase_step: float, count: int) -> complex:
-    """sum_{mu=0}^{count-1} exp(i*phase_step*mu) by direct accumulation."""
-    mu = np.arange(count)
-    return complex(np.sum(np.exp(1j * phase_step * mu)))
-
-
 def phase_sum_sq_closed_form(phase_step: float, count: int) -> float:
-    """|phase_sum|^2 = (cos(n*t)-1)/(cos(t)-1), via the half-angle form.
+    """|sum_{mu<n} exp(i*t*mu)|^2 = (cos(n*t)-1)/(cos(t)-1), in half-angle form.
 
     sin^2(n*t/2)/sin^2(t/2) is the same expression, better conditioned near
     small t; t is first reduced to [-pi, pi], which keeps that conditioning
@@ -134,40 +127,6 @@ def dicke_enhancement(total: int, excited: int) -> tuple[float, float]:
     return float((total - excited) * (excited + 1)), float(total)
 
 
-def dense_quasispin_raise(total: int, phases: np.ndarray | None = None) -> np.ndarray:
-    """Collective raising operator in the full 2^S product space.
-
-    Brute-force oracle for the ladder coefficients, capped at S = 6.  Each
-    emitter contributes sigma_plus times exp(+i*phi_l); the symmetric states
-    built from repeated raising stay normalized eigenvectors of the ladder
-    algebra for any phase choice.
-    """
-    if total > 6:
-        raise ValueError("dense oracle is limited to S <= 6")
-    if phases is None:
-        phases = np.zeros(total)
-    dim = 2**total
-    out = np.zeros((dim, dim), dtype=complex)
-    for ell in range(total):
-        bit = 1 << ell
-        for state in range(dim):
-            if not state & bit:
-                out[state | bit, state] += np.exp(1j * phases[ell])
-    return out
-
-
-def symmetric_state(total: int, excited: int, phases: np.ndarray | None = None) -> np.ndarray:
-    """Normalized phased symmetric state with the given excitation number."""
-    if phases is None:
-        phases = np.zeros(total)
-    dim = 2**total
-    v = np.zeros(dim, dtype=complex)
-    for occupied in combinations(range(total), excited):
-        idx = sum(1 << ell for ell in occupied)
-        v[idx] = np.exp(1j * sum(phases[ell] for ell in occupied))
-    return v / np.linalg.norm(v)
-
-
 def random_phase_sum(
     total: int,
     delta_k: np.ndarray,
@@ -184,6 +143,10 @@ def random_phase_sum(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if total < 0:
+        raise ValueError("emitter count S must be >= 0")
+    if not box_size >= 0.0:  # also rejects NaN
+        raise ValueError("box size must be >= 0")
     delta_k = np.asarray(delta_k, dtype=float)
     values = np.empty(trials)
     for t in range(trials):
@@ -218,6 +181,10 @@ class PumpSpec:
             raise ValueError("pump frequencies must satisfy omega1p+omega2p = omega1+omega2")
         if self.detuning == 0.0:
             raise ValueError("pump detuning must be non-zero")
+        if not min(self.intensity1, self.intensity2) >= 0.0:  # also rejects NaN
+            raise ValueError("pump intensity must be >= 0")
+        if not self.emitter_count >= 0.0:
+            raise ValueError("emitter count S must be >= 0")
 
     @classmethod
     def balanced(

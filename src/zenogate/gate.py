@@ -20,13 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _power_each, _power_one, golden_minimize, mat_power
+from .numerics import _power_each, _power_one, mat_power
 
 SQRT2 = math.sqrt(2.0)
-
-
-class DegenerateRootsError(ValueError):
-    """Closed-form roots coincide; caller should fall back to mat_power."""
 
 
 def _check_segments(segments) -> None:
@@ -79,17 +75,6 @@ class AbsorberRates:
     @property
     def kappa(self) -> float:
         return self.two_photon / self.one_photon
-
-
-@dataclass(frozen=True)
-class PhotonState:
-    """Complex branch amplitudes of the target photon."""
-
-    amplitudes: np.ndarray
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 def _transmission(decay):
@@ -179,24 +164,6 @@ def gate_matrix(geometry: GateGeometry, decay) -> np.ndarray:
     return mat_power(segment_matrix(geometry, decay), geometry.segments)
 
 
-def propagate(
-    geometry: GateGeometry,
-    rates: AbsorberRates,
-    control_present: bool,
-    state: PhotonState | np.ndarray,
-) -> PhotonState:
-    """Send the target photon through the gate.
-
-    The absorber acts with xi_2gamma when the control photon is present and
-    with xi_1gamma otherwise.
-    """
-    amps = state.amplitudes if isinstance(state, PhotonState) else np.asarray(state, dtype=complex)
-    if amps.shape != (geometry.branches,):
-        raise ValueError("input state dimension does not match the geometry")
-    decay = rates.two_photon if control_present else rates.one_photon
-    return PhotonState(gate_matrix(geometry, decay) @ amps)
-
-
 def exact_errors(geometry: GateGeometry, rates: AbsorberRates) -> tuple[float, float]:
     """Exact (P_error_1gamma, P_error_2gamma) from the transfer matrices.
 
@@ -257,110 +224,6 @@ def exact_errors_batch(geometry, one_photon, two_photon) -> tuple[np.ndarray, np
     return 1.0 - a1 * a1, 1.0 - a2 * a2
 
 
-@dataclass(frozen=True)
-class ClosedFormFactors:
-    """Quadratic-root abbreviations of the closed-form N-segment product."""
-
-    r: complex
-    alpha_plus: complex
-    alpha_minus: complex
-    beta_plus: complex
-    beta_minus: complex
-
-
-def closed_form_factors(angle: float, decay: float) -> ClosedFormFactors:
-    e = math.exp(-decay)
-    c = math.cos(angle)
-    r = complex((e + 1.0) ** 2 * c * c - 4.0 * e) ** 0.5
-    return ClosedFormFactors(
-        r=r,
-        alpha_plus=(e + 1.0) * c + r,
-        alpha_minus=(e + 1.0) * c - r,
-        beta_plus=(e - 1.0) * c + r,
-        beta_minus=(e - 1.0) * c - r,
-    )
-
-
-def closed_form_two_branch(angle: float, decay: float, segments: int) -> np.ndarray:
-    """Closed-form N-th power of the two-branch segment matrix.
-
-    Evaluates the eigenvalue form of the segment product; raises
-    DegenerateRootsError near coincident roots (|r| < 1e-9), where the
-    caller should use mat_power instead.
-    """
-    f = closed_form_factors(angle, decay)
-    if abs(f.r) < 1e-9:
-        raise DegenerateRootsError(
-            "closed-form roots are degenerate; use mat_power on the segment matrix"
-        )
-    e = math.exp(-decay)
-    s = math.sin(angle)
-    # alpha_pm/2 are the segment eigenvalues; powers of the halves avoid
-    # overflow of alpha^N and 2^N at large N.
-    p = (f.alpha_plus / 2.0) ** segments
-    q = (f.alpha_minus / 2.0) ** segments
-    return np.array(
-        [
-            [(f.beta_plus * q - f.beta_minus * p) / (2.0 * f.r), (p - q) * s / f.r],
-            [(q - p) * e * s / f.r, (f.beta_plus * p - f.beta_minus * q) / (2.0 * f.r)],
-        ],
-        dtype=complex,
-    )
-
-
-def first_order_output_two_branch(angle: float, decay: float, segments: int) -> np.ndarray:
-    """Output amplitudes for input (1,0), expanded to first order in xi_1gamma."""
-    n = segments
-    ne = n * angle
-    # cos(Ne)*(1 - xi*(N - cot(e)*tan(Ne))/2) written without the tan(Ne)
-    # singularity at Ne = pi/2
-    upper = math.cos(ne) * (1.0 - decay * n / 2.0) + 0.5 * decay * math.sin(ne) / math.tan(angle)
-    lower = -math.sin(ne) * (1.0 - decay * (n + 1.0) / 2.0)
-    return np.array([upper, lower], dtype=complex)
-
-
-def asymptotic_errors(
-    geometry: GateGeometry,
-    rates: AbsorberRates,
-    order: str = "leading",
-) -> tuple[float, float]:
-    """Large-N truncations of the error probabilities.
-
-    order='leading' keeps the N*xi_1gamma (resp. N*xi_1gamma/2) and
-    pi^2/(2 N xi_2gamma) (resp. pi^2/(N xi_2gamma)) terms; order='first' adds
-    the first sub-leading corrections.  Intended regime:
-    N*xi_2gamma >> 1 >> N*xi_1gamma (not enforced).  A perfect absorber
-    (xi_2gamma = inf) keeps only the finite-N discretization term.
-
-    What the leading order promises: for N*xi_2gamma >~ 10 and
-    N*xi_1gamma << 1 each truncated probability is within its own square of
-    the exact one, |P_exact - P_lead| <= P_lead^2, as long as P_lead is not
-    so small that the finite-N terms of order='first' exceed P_lead^2
-    (P_lead >= 2*N^(-2/3) suffices for both gates).  Below that regime the
-    two-photon term is not an approximation: it exceeds 1 for N*xi_2gamma
-    below pi^2/2 (two branches) or pi^2 (three), where the exact error is
-    still below 1.
-    """
-    if order not in ("leading", "first"):
-        raise ValueError("order must be 'leading' or 'first'")
-    n = geometry.segments
-    x1, x2 = rates.one_photon, rates.two_photon
-    p1, p2 = leading_errors(geometry, x1, x2)
-    if order == "first":
-        pi2, inv_x2 = math.pi**2, _inverse(x2)
-        x2_finite = 0.0 if math.isinf(x2) else x2
-        p1 += x1
-        if geometry.branches == 2:
-            p2 += (2.0 * pi2 - math.pi**4) / (48.0 * n**2)
-            p2 += (4.0 * math.pi**4 + math.pi**6) / (192.0 * n**3) * inv_x2
-            p2 += pi2 * (x1 + x2_finite) / (24.0 * n)
-        else:
-            p2 += (4.0 * pi2 - 3.0 * math.pi**4) / (48.0 * n**2)
-            p2 += (2.0 * math.pi**4 + math.pi**6) / (24.0 * n**3) * inv_x2
-            p2 += pi2 * (x1 + x2_finite) / (12.0 * n)
-    return p1, p2
-
-
 def _inverse(x2):
     """1/xi_2gamma: 0 at inf, and inf at 0, where the truncation diverges
     without any absorber."""
@@ -370,8 +233,11 @@ def _inverse(x2):
 
 
 def leading_errors(geometry: GateGeometry, one_photon, two_photon):
-    """Leading-order truncations (P1, P2) of asymptotic_errors, for decay
-    exponents given as floats or as arrays of one length (not checked)."""
+    """Leading-order large-N truncations (P1, P2) of the error probabilities:
+    N*xi_1gamma and pi^2/(2*N*xi_2gamma) with two branches, half the first
+    and twice the second with three.  Decay exponents are floats or arrays
+    of one length (not checked).  They hold for N*xi_2gamma >> 1 >>
+    N*xi_1gamma and exceed 1 far outside it."""
     n = geometry.segments
     # arrays go to inf without warnings, as float arithmetic does
     with np.errstate(divide="ignore", over="ignore"):
@@ -416,38 +282,6 @@ def required_kappa(p_error: float) -> float:
     return math.pi**2 / (2.0 * p_error**2)
 
 
-def franson_errors(rates: AbsorberRates, segments: int) -> tuple[float, float]:
-    """Large-N error probabilities of the symmetric reference gate.
-
-    That design places absorbers on both photon paths, so the one-photon loss
-    enters the two-photon mode as well: P1 = 2*N*xi_1gamma and
-    P2 = 4*N*xi_1gamma + 2*pi^2/(N*xi_2gamma).
-    """
-    n = segments
-    p1 = 2.0 * n * rates.one_photon
-    inv_x2 = 0.0 if math.isinf(rates.two_photon) else 1.0 / rates.two_photon
-    p2 = 4.0 * n * rates.one_photon + 2.0 * math.pi**2 / n * inv_x2
-    return p1, p2
-
-
-def franson_optimal_rates(kappa: float, segments: int) -> AbsorberRates:
-    """Rates minimizing the dominant two-photon error of the reference gate:
-    the balanced rates of the two-branch gate."""
-    return optimal_rates(kappa, segments, 2)[0]
-
-
-def franson_overall_error(kappa: float) -> float:
-    """Optimized overall error 4*sqrt(2)*pi/sqrt(kappa) of the reference gate."""
-    return 4.0 * SQRT2 * math.pi / math.sqrt(kappa)
-
-
-def franson_required_kappa(p_error: float) -> float:
-    """kappa the reference gate needs for a target error: 32*pi^2/P^2."""
-    if not 0.0 < p_error < 1.0:
-        raise ValueError("p_error must lie in (0, 1)")
-    return 32.0 * math.pi**2 / p_error**2
-
-
 def control_loss_adjusted(kappa: float, segments: int, control_rate: float) -> float:
     """Overall error including control-photon loss: pi/sqrt(2k) + 2*N*xi_c.
 
@@ -465,19 +299,3 @@ def zeno_demo_survival(segments: int) -> float:
     _check_segments(segments)
     return math.cos(math.pi / (2.0 * segments)) ** (2 * segments)
 
-
-def optimal_angle(branches: int, segments: int, one_photon_rate: float) -> float:
-    """Numerically re-optimized beam-splitter angle at non-zero one-photon loss.
-
-    Minimizes the exact no-control error over epsilon; stays very close to the
-    lossless default, which the first-order expansion predicts to remain
-    optimal.
-    """
-    nominal = default_angle(branches, segments)
-
-    def p1_of(angle):
-        geom = GateGeometry(branches, segments, angle)
-        rates = AbsorberRates(one_photon=one_photon_rate, two_photon=one_photon_rate)
-        return exact_errors(geom, rates)[0]
-
-    return golden_minimize(p1_of, 0.5 * nominal, min(1.5 * nominal, math.pi - 1e-9), 1e-10 * nominal)

@@ -230,8 +230,3 @@ def golden_minimize(f, lo: float, hi: float, tol: float) -> float:
             fd = f(d)
     return 0.5 * (a + b)
 
-
-def rotation2(angle: float) -> np.ndarray:
-    """2x2 rotation [[cos, sin], [-sin, cos]] used by the beam splitters."""
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, s], [-s, c]], dtype=complex)

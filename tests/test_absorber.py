@@ -13,17 +13,16 @@ from zenogate.absorber import (
     absorption_ratio,
     coupling_constants,
     destructive_interference_frequency,
-    intensity_from_si,
     interference_residual,
     measured_absorption_ratio,
     middle_level_population,
     one_photon_scattering_prob,
     optical_example,
-    polarization_sum_quadrature,
     pump_detuning_threshold,
     two_photon_absorption_prob,
 )
-from zenogate.numerics import ALPHA_QED, ELECTRON_MASS_EV, HBAR_EV_S
+from zenogate.numerics import ALPHA_QED, ELECTRON_MASS_EV, HBAR_EV_S, convert
+from zenogate.oracles import polarization_sum_quadrature
 
 
 def symmetric_spec(omega=2.4797, area=None, f=1.0, lam=False):
@@ -216,7 +215,7 @@ class TestDestructiveInterference:
 class TestMiddleLevel:
     def test_pump_threshold_values(self):
         spec = optical_example()
-        thr = pump_detuning_threshold(intensity_from_si(1e10), spec.dipole_length)
+        thr = pump_detuning_threshold(convert(1e10, "W/cm^2", "eV^4"), spec.dipole_length)
         assert thr == pytest.approx(0.0616, abs=2e-4)      # eV
         assert thr / HBAR_EV_S == pytest.approx(9.36e13, rel=1e-2)  # 1/s
 

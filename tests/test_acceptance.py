@@ -16,9 +16,9 @@ import time
 import numpy as np
 import pytest
 
-from zenogate import absorber, enhancement, gate, optimizer
-from zenogate.absorber import intensity_from_si, optical_example
-from zenogate.numerics import HBAR_EV_S, mat_power
+from zenogate import absorber, enhancement, gate, optimizer, oracles
+from zenogate.absorber import optical_example
+from zenogate.numerics import HBAR_EV_S, convert, mat_power
 
 REFERENCE_TABLES = {
     # (p_error, N): (kappa, p2_segment, p1_segment, enhancement)
@@ -121,7 +121,7 @@ class TestCriterion3FransonAndControlLoss:
         ok = True
         ratios = []
         for p in (0.5, 0.25, 0.1):
-            r = gate.franson_required_kappa(p) / gate.required_kappa(p)
+            r = oracles.franson_required_kappa(p) / gate.required_kappa(p)
             ratios.append(r)
             ok &= r == pytest.approx(64.0, rel=1e-12)
         kappa, n = 1234.0, 500
@@ -206,10 +206,10 @@ class TestCriterion6OracleEquivalence:
             eps = rng.uniform(1e-3, math.pi / 2 - 1e-3)
             xi = rng.uniform(0.0, 5.0)
             n = int(rng.integers(1, 201))
-            if abs(gate.closed_form_factors(eps, xi).r) < 1e-6:
+            if abs(oracles.closed_form_factors(eps, xi).r) < 1e-6:
                 continue
             oracle = mat_power(gate.segment_matrix(gate.GateGeometry(2, n, eps), xi), n)
-            dev = np.max(np.abs(gate.closed_form_two_branch(eps, xi, n) - oracle))
+            dev = np.max(np.abs(oracles.closed_form_two_branch(eps, xi, n) - oracle))
             worst = max(worst, dev)
             checked += 1
         ok = worst < 1e-9
@@ -227,7 +227,7 @@ class TestCriterion6OracleEquivalence:
             for branches in (2, 3):
                 geom = gate.GateGeometry(branches, n)
                 e1, e2 = gate.exact_errors(geom, rates)
-                a1, a2 = gate.asymptotic_errors(geom, rates, order="first")
+                a1, a2 = oracles.asymptotic_errors(geom, rates, order="first")
                 worst = max(worst, abs(e1 - a1), abs(e2 - a2))
             residuals.append(worst)
         slope = -np.polyfit(np.log(ns), np.log(residuals), 1)[0]
@@ -256,7 +256,7 @@ class TestCriterion7EnhancementSuites:
         for _ in range(20):
             theta = rng.uniform(0.05, 2 * math.pi - 0.05)
             for n in (10, 100, 1000, 10_000):
-                brute = abs(enhancement.phase_sum(theta, n)) ** 2
+                brute = abs(oracles.phase_sum(theta, n)) ** 2
                 closed = enhancement.phase_sum_sq_closed_form(theta, n)
                 worst_phase = max(worst_phase, abs(brute - closed) / max(1.0, closed))
         ok &= worst_phase <= 1e-10
@@ -264,11 +264,11 @@ class TestCriterion7EnhancementSuites:
         worst_spin = 0.0
         for total in (2, 3, 4, 5, 6):
             phases = rng.uniform(0, 2 * math.pi, size=total)
-            plus = enhancement.dense_quasispin_raise(total, phases)
+            plus = oracles.dense_quasispin_raise(total, phases)
             for s in range(total):
-                state = enhancement.symmetric_state(total, s, phases)
+                state = oracles.symmetric_state(total, s, phases)
                 coeff, s_next = enhancement.quasispin_apply("raise", s, total)
-                target = enhancement.symmetric_state(total, s_next, phases)
+                target = oracles.symmetric_state(total, s_next, phases)
                 worst_spin = max(worst_spin, float(np.max(np.abs(plus @ state - coeff * target))))
         ok &= worst_spin <= 1e-12
         # random-phase Monte Carlo mean near S
@@ -292,12 +292,12 @@ class TestCriterion8PumpSteadyState:
     def test_excitation_fraction_and_threshold(self):
         atom = optical_example()
         pump = enhancement.PumpSpec.balanced(
-            atom, intensity_from_si(1e10), 3e14 * HBAR_EV_S
+            atom, convert(1e10, "W/cm^2", "eV^4"), 3e14 * HBAR_EV_S
         )
         fraction = enhancement.pump_steady_state(pump).excited_fraction
         ok = 1.7e-5 / 2.0 <= fraction <= 1.7e-5 * 2.0
         threshold_ev = absorber.pump_detuning_threshold(
-            intensity_from_si(1e10), atom.dipole_length
+            convert(1e10, "W/cm^2", "eV^4"), atom.dipole_length
         )
         threshold_inv_s = threshold_ev / HBAR_EV_S
         ok &= abs(threshold_ev - 0.06) / 0.06 <= 0.10

@@ -1,10 +1,15 @@
 """Command-line surface tests: dispatch, formats, config handling, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from zenogate import absorber, cli
+import zenogate
+from zenogate import absorber, cli, enhancement
 from zenogate.gate import GateGeometry, optimal_rates, segment_matrix
 
 
@@ -107,6 +112,18 @@ class TestNonFiniteInput:
         (("enhance", "--mechanism", "multipass", "--tau", "nan"), "tau"),
         (("enhance", "--mechanism", "multipass", "--tau", "inf"), "tau"),
         (("enhance", "--mechanism", "random_phase", "--box", "nan"), "box"),
+        # arithmetic failures: l^2 underflows in 1/(m*l^2), omega1 overflows
+        (("absorber", "--dipole-length", "1e-200"), "ZeroDivisionError"),
+        (("tables", "--delta", "1", "--delta-control", "1",
+          "--dipole-length", "4.7308984197589396e-179"), "ZeroDivisionError"),
+        (("absorber", "--wavelength", "1.5734782585690014e-266",
+          "--area", "0.0004659342528409768", "--dipole-length", "1"), "OverflowError"),
+        # out of the model's range: printed p_2gamma = 3.4e11 as a probability
+        (("absorber", "--area", "1e-6"), "area"),
+        (("enhance", "--mechanism", "pump", "--S", "-1"), "S"),
+        (("enhance", "--mechanism", "pump", "--intensity", "-1"), "intensity"),
+        (("enhance", "--mechanism", "random_phase", "--S", "-1"), "S"),
+        (("enhance", "--mechanism", "random_phase", "--box", "-5"), "box"),
     ])
     def test_rejected_with_exit_code_2(self, capsys, argv, word):
         code, out, err = run_cli(capsys, *argv)
@@ -236,6 +253,18 @@ class TestEnhanceCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and word in err
+
+    def test_out_of_memory_is_exit_code_2(self, capsys, monkeypatch):
+        # S = 1e11 asked NumPy for 2.18 TiB; raised here instead of allocated
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.18 TiB")
+
+        monkeypatch.setattr(enhancement, "random_phase_sum", exhausted)
+        code, out, err = run_cli(capsys, "enhance", "--mechanism", "random_phase",
+                                 "--S", "100000000000")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "MemoryError" in err
 
     def test_pump_summary(self, capsys):
         _, out, _ = run_cli(capsys, "enhance", "--mechanism", "pump")
@@ -401,3 +430,15 @@ class TestGlobalFlags:
         code, out, _ = run_cli(capsys, "--seed", "5", "demo", "--N", "3", "--seed", "6")
         assert code == 0
         assert "# seed=6" in out
+
+
+def test_cli_import_leaves_out_the_oracles_and_absorber_numpy():
+    # a fresh interpreter: this one has imported the oracles for other tests
+    code = ("import sys, types, zenogate.cli, zenogate.absorber as a; "
+            "print('zenogate.oracles' in sys.modules, "
+            "any(isinstance(v, types.ModuleType) and v.__name__ == 'numpy' "
+            "for v in vars(a).values()))")
+    env = {**os.environ, "PYTHONPATH": str(Path(zenogate.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["False", "False"]

@@ -8,23 +8,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from zenogate.absorber import absorption_ratio, intensity_from_si, optical_example
+from zenogate.absorber import absorption_ratio, optical_example
 from zenogate.enhancement import (
     MultiPassProbabilities,
     MultiPassSpec,
     PumpSpec,
-    dense_quasispin_raise,
     dicke_enhancement,
     multipass_probabilities,
-    phase_sum,
     phase_sum_sq_closed_form,
     pump_steady_state,
     quasispin_apply,
     random_phase_sum,
-    symmetric_state,
     upconversion_detunings,
 )
-from zenogate.numerics import HBAR_EV_S
+from zenogate.numerics import HBAR_EV_S, convert
+from zenogate.oracles import dense_quasispin_raise, phase_sum, symmetric_state
 
 TWO_PI = 2.0 * math.pi
 
@@ -224,7 +222,7 @@ class TestPumpSteadyState:
         atom = optical_example()
         return PumpSpec.balanced(
             atom,
-            intensity_from_si(intensity_si),
+            convert(intensity_si, "W/cm^2", "eV^4"),
             detuning_inv_s * HBAR_EV_S,
             emitter_count=emitters,
         )

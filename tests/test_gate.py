@@ -5,30 +5,32 @@ import math
 import numpy as np
 import pytest
 
-from zenogate import gate, optimizer
+from test_numerics import rotation2
+from zenogate import gate, optimizer, oracles
 from zenogate.gate import (
     AbsorberRates,
-    DegenerateRootsError,
     GateGeometry,
-    PhotonState,
-    closed_form_factors,
-    closed_form_two_branch,
     control_loss_adjusted,
     exact_errors,
+    gate_matrix,
+    optimal_rates,
+    overall_error,
+    required_kappa,
+    segment_matrix,
+    zeno_demo_survival,
+)
+from zenogate.numerics import _power_each, _power_one, mat_power
+from zenogate.oracles import (
+    DegenerateRootsError,
+    closed_form_factors,
+    closed_form_two_branch,
     first_order_output_two_branch,
     franson_errors,
     franson_optimal_rates,
     franson_overall_error,
     franson_required_kappa,
     optimal_angle,
-    optimal_rates,
-    overall_error,
-    propagate,
-    required_kappa,
-    segment_matrix,
-    zeno_demo_survival,
 )
-from zenogate.numerics import _power_each, _power_one, mat_power, rotation2
 
 SQRT2 = math.sqrt(2.0)
 
@@ -99,20 +101,22 @@ class TestSegmentMatrix:
 
 
 class TestPropagate:
+    """gate_matrix(geometry, decay) @ amplitudes sends the target photon
+    through the gate: decay xi_2gamma with the control photon, xi_1gamma
+    without it."""
+
     def test_lossless_full_transfer(self):
-        geom = GateGeometry(2, 10)
-        out = propagate(geom, AbsorberRates(0.0, 1.0), False, np.array([1, 0]))
-        assert np.max(np.abs(out.amplitudes - np.array([0, -1]))) < 1e-12
+        out = gate_matrix(GateGeometry(2, 10), 0.0) @ np.array([1, 0])
+        assert np.max(np.abs(out - np.array([0, -1]))) < 1e-12
 
     def test_perfect_absorber_zeno_survival(self):
         n = 100
-        geom = GateGeometry(2, n)
-        out = propagate(geom, AbsorberRates(0.0, math.inf), True, np.array([1, 0]))
+        out = gate_matrix(GateGeometry(2, n), math.inf) @ np.array([1, 0])
         expected = math.cos(math.pi / (2 * n)) ** n
-        assert out.amplitudes[1] == 0.0
-        assert abs(out.amplitudes[0]) == pytest.approx(expected, rel=1e-12)
+        assert out[1] == 0.0
+        assert abs(out[0]) == pytest.approx(expected, rel=1e-12)
         # amplitude approaches 1 - pi^2/(8N) up to O(1/N^2)
-        assert abs(abs(out.amplitudes[0]) - (1 - math.pi**2 / (8 * n))) < 5.0 / n**2
+        assert abs(abs(out[0]) - (1 - math.pi**2 / (8 * n))) < 5.0 / n**2
 
     def test_three_branch_matches_power_oracle(self):
         rng = np.random.default_rng(3)
@@ -124,12 +128,8 @@ class TestPropagate:
             seg = segment_matrix(geom, xi)
             vec = rng.normal(size=3) + 1j * rng.normal(size=3)
             vec /= np.linalg.norm(vec)
-            out = propagate(geom, AbsorberRates(xi, xi), False, vec)
-            assert np.max(np.abs(out.amplitudes - naive_power(seg, n) @ vec)) < 1e-10
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            propagate(GateGeometry(3, 5), AbsorberRates(0.1, 1.0), False, np.array([1, 0]))
+            out = gate_matrix(geom, xi) @ vec
+            assert np.max(np.abs(out - naive_power(seg, n) @ vec)) < 1e-10
 
     def test_norm_never_increases(self):
         rng = np.random.default_rng(11)
@@ -139,8 +139,9 @@ class TestPropagate:
             rates = AbsorberRates(rng.uniform(0, 2), rng.uniform(0, 2))
             vec = rng.normal(size=branches) + 1j * rng.normal(size=branches)
             vec /= np.linalg.norm(vec)
-            out = propagate(geom, rates, bool(rng.integers(2)), PhotonState(vec))
-            assert out.norm <= 1.0 + 1e-12
+            decay = rates.two_photon if rng.integers(2) else rates.one_photon
+            out = gate_matrix(geom, decay) @ vec
+            assert np.linalg.norm(out) <= 1.0 + 1e-12
 
 
 class TestClosedForm:
@@ -174,6 +175,29 @@ class TestClosedForm:
         # xi = 0 makes r = 2*sqrt(cos^2(eps) - 1) -> 0 as eps -> 0
         with pytest.raises(DegenerateRootsError):
             closed_form_two_branch(1e-12, 0.0, 5)
+
+    def test_domain_edge_against_50_digits(self):
+        # at the default angle |r| ~ pi/N and the domain
+        # 2*eps*(N*min(N, 1/|r|) + 1/|r|) <= 1e-9 ends at N = 2,659
+        mpmath = pytest.importorskip("mpmath")
+        inside, outside = 2659, 2660
+        got = closed_form_two_branch(math.pi / (2 * inside), 0.0, inside)
+        with mpmath.mp.workdps(50):
+            angle = mpmath.mpf(math.pi / (2 * inside))
+            c, s = mpmath.cos(angle), mpmath.sin(angle)
+            exact = mpmath.matrix([[c, s], [-s, c]]) ** inside
+            assert max(abs(got[i, j] - complex(exact[i, j]))
+                       for i in range(2) for j in range(2)) <= 1e-9
+        with pytest.raises(ValueError, match="domain"):
+            closed_form_two_branch(math.pi / (2 * outside), 0.0, outside)
+
+    @pytest.mark.parametrize("segments", [10**9, 10**12])
+    def test_outside_the_domain_raises_not_answers(self, segments):
+        # at kappa = 1000 it gave P1 = 0.983 instead of 0.0674 at N = 1e9,
+        # and an OverflowError at N = 1e12
+        rates, _ = optimal_rates(1000.0, segments, branches=2)
+        with pytest.raises(ValueError, match="domain"):
+            closed_form_two_branch(math.pi / (2 * segments), rates.one_photon, segments)
 
     def test_first_order_expansion_residual_is_quadratic(self):
         n = 50
@@ -503,24 +527,24 @@ class TestAsymptotics:
     def test_leading_terms(self):
         geom2, geom3 = GateGeometry(2, 500), GateGeometry(3, 500)
         rates = AbsorberRates(1e-4, 0.05)
-        p1, p2 = gate.asymptotic_errors(geom2, rates)
+        p1, p2 = oracles.asymptotic_errors(geom2, rates)
         assert p1 == pytest.approx(500 * 1e-4, rel=1e-15)
         assert p2 == pytest.approx(math.pi**2 / (2 * 500 * 0.05), rel=1e-15)
-        p1, p2 = gate.asymptotic_errors(geom3, rates)
+        p1, p2 = oracles.asymptotic_errors(geom3, rates)
         assert p1 == pytest.approx(500 * 1e-4 / 2, rel=1e-15)
         assert p2 == pytest.approx(math.pi**2 / (500 * 0.05), rel=1e-15)
 
     def test_leading_at_balanced_rates_gives_overall_error(self):
         kappa, n = 1000.0, 1000
         rates, _ = optimal_rates(kappa, n, branches=2)
-        p1, p2 = gate.asymptotic_errors(GateGeometry(2, n), rates)
+        p1, p2 = oracles.asymptotic_errors(GateGeometry(2, n), rates)
         assert p1 == pytest.approx(overall_error(kappa), rel=1e-12)
         assert p2 == pytest.approx(overall_error(kappa), rel=1e-12)
 
     def test_perfect_absorber_keeps_pure_discretization_term(self):
         n = 200
         geom = GateGeometry(2, n)
-        _, p2 = gate.asymptotic_errors(geom, AbsorberRates(0.0, math.inf), order="first")
+        _, p2 = oracles.asymptotic_errors(geom, AbsorberRates(0.0, math.inf), order="first")
         assert p2 == (2 * math.pi**2 - math.pi**4) / (48 * n**2)
 
     def test_first_order_tracks_exact_in_regime(self):
@@ -532,7 +556,7 @@ class TestAsymptotics:
             for branches in (2, 3):
                 geom = GateGeometry(branches, n)
                 exact = exact_errors(geom, rates)
-                approx = gate.asymptotic_errors(geom, rates, order="first")
+                approx = oracles.asymptotic_errors(geom, rates, order="first")
                 residuals[(branches, n)] = max(
                     abs(exact[0] - approx[0]), abs(exact[1] - approx[1])
                 )
@@ -551,7 +575,7 @@ class TestAsymptotics:
                     x2 = x2[n * x2 / kappa <= 0.2]
                     p1, p2 = gate.exact_errors_batch(geom, x2 / kappa, x2)
                     for i, xi2 in enumerate(x2):
-                        lead = gate.asymptotic_errors(geom, AbsorberRates(xi2 / kappa, xi2))
+                        lead = oracles.asymptotic_errors(geom, AbsorberRates(xi2 / kappa, xi2))
                         if min(lead) < 2.0 * n ** (-2.0 / 3.0):
                             continue
                         checked += 1

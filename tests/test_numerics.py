@@ -14,8 +14,13 @@ from zenogate.numerics import (
     convert,
     golden_minimize,
     mat_power,
-    rotation2,
 )
+
+
+def rotation2(angle):
+    """2x2 rotation [[cos, sin], [-sin, cos]] of the beam splitters."""
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, s], [-s, c]], dtype=complex)
 
 
 class TestMatPower:

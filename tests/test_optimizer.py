@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from zenogate import gate, optimizer
+from zenogate import gate, optimizer, oracles
 from zenogate.absorber import optical_example
 from zenogate.optimizer import (
     KAPPA_TOL,
@@ -620,7 +620,7 @@ class TestErrorCurve:
             assert points[0].xi_2gamma == 0.0 and points[0].p2_approx == 1.0
             for pt in points:
                 rates = gate.AbsorberRates(pt.xi_2gamma / kappa, pt.xi_2gamma)
-                a1, a2 = gate.asymptotic_errors(geom, rates, "leading")
+                a1, a2 = oracles.asymptotic_errors(geom, rates, "leading")
                 assert pt.p1_approx == min(1.0, a1)
                 assert pt.p2_approx == min(1.0, a2)   # inf at xi_2gamma = 0
 

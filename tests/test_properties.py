@@ -51,17 +51,31 @@ SEGMENTS = st.integers(-1, 10_000).map(str)
 BRANCHES = st.sampled_from(("2", "3"))
 
 
+def scaled(default):
+    """default times 10^e: e within 3 decades, or anywhere in float range"""
+    exponents = st.floats(-3.0, 3.0) | st.floats(-300.0, 300.0)
+    return exponents.map(lambda e: repr(default * 10.0**e))
+
+
+# the atom of absorber and tables, around the CLI defaults (area: the
+# diffraction limit (500 nm / 2)^2)
+ATOM = {"--wavelength": scaled(500.0), "--delta": scaled(3e12), "--delta-control": scaled(3e13),
+        "--dipole-length": scaled(0.3175), "--area": scaled(62_500.0), "--f": scaled(1.0)}
+COUNTS = st.integers(-1, 10**12).map(str)
+
+
 @st.composite
 def cli_argv(draw):
-    """argv of gate, curve, demo or enhance multipass; each optional flag
-    is given a drawn value or left out."""
+    """argv of gate, curve, demo, absorber, tables or enhance with each
+    mechanism; each optional flag is given a drawn value or left out."""
     def optional(argv, options):
         for flag, values in options.items():
             if draw(st.booleans()):
                 argv += [flag, draw(values)]
         return argv
 
-    command = draw(st.sampled_from(("gate", "curve", "demo", "multipass")))
+    command = draw(st.sampled_from(("gate", "curve", "demo", "absorber", "tables", "multipass",
+                                    "dicke", "random_phase", "pump")))
     if command == "gate":
         argv = optional(["gate", "--N", draw(SEGMENTS)], {"--branches": BRANCHES,
                                                            "--epsilon": NUMBERS})
@@ -75,6 +89,19 @@ def cli_argv(draw):
                                     "--branches": BRANCHES})
     if command == "demo":
         return ["demo", "--N", draw(SEGMENTS)]
+    if command in ("absorber", "tables"):
+        return optional([command], ATOM) + draw(st.sampled_from(([], ["--lambda-scheme"])))
+    if command == "dicke":
+        return optional(["enhance", "--mechanism", "dicke"], {"--S": COUNTS, "--s": COUNTS})
+    if command == "random_phase":
+        return optional(["enhance", "--mechanism", "random_phase"], {
+            "--S": st.integers(-1, 2_000).map(str), "--trials": st.integers(-1, 20).map(str),
+            "--box": scaled(1000.0), "--dkx": scaled(1.0), "--dky": scaled(1.37),
+            "--dkz": scaled(2.11)})
+    if command == "pump":
+        return optional(["enhance", "--mechanism", "pump"], {
+            "--S": COUNTS, "--intensity": scaled(1e10), "--delta-prime": scaled(3e14),
+            "--wavelength": scaled(500.0), "--delta": scaled(3e12)})
     return optional(["enhance", "--mechanism", "multipass"], {
         "--n": st.integers(-1, 64).map(str), "--tau": NUMBERS, "--k1L": NUMBERS,
         "--k2L": NUMBERS, "--g13": NUMBERS, "--g12": NUMBERS, "--g11": NUMBERS})
