@@ -114,6 +114,8 @@ class AtomSpec:
 def diffraction_limited_area(wavelength_nm: float) -> float:
     """Beam cross-section (lambda/2)^2 at the diffraction limit, in 1/eV^2."""
     half = 0.5 * wavelength_nm / HBARC_EV_NM
+    if not half * half > 0.0:  # (lambda/2)^2 underflows for tiny lambda
+        raise ValueError("wavelength too short: the beam area (lambda/2)^2 is 0")
     return half * half
 
 

@@ -235,6 +235,8 @@ def pump_steady_state(spec: PumpSpec) -> PumpSteadyState:
         / (spec.omega1p * spec.omega2p * (spec.omega1p + spec.omega2p) * spec.detuning)
     )
     fraction = inner**2 * spec.intensity1 * spec.intensity2
+    if not fraction <= 1.0:  # also rejects NaN; s << S is the model's premise
+        raise ValueError(f"pump intensity gives s/S = {fraction:g}, above 1")
     coupling = math.sqrt(fraction) * e13  # |g| with s/S = |g/E13|^2
     alpha_g = -coupling * math.sqrt(spec.emitter_count) / e13
     worst = max(spec.intensity1, spec.intensity2)

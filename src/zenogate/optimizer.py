@@ -14,21 +14,22 @@ vary and therefore returns the true (slightly smaller) minimum.
 
 Every model bisects log kappa the same way, in one loop over a chunk of N
 whose rounds test the next kappa of every unfinished N together
-(_min_kappas): for 'exact' a round is one kernel call.  'exact_free' first
-solves, once per N, for the thresholds of the paper's feasibility question
-at finite N: the largest xi_1gamma with P1 <= P and the smallest xi_2gamma
-past the peak of P2 with P2 <= P (and, for P >= P2(0), the largest before
-it; see _Window).  A kappa step is then the arithmetic test whether some
-scale puts both balanced rates inside them, so the bisection visits the
-same kappa as an evaluating search would, with no kernel call.  The
-thresholds rest on P1 rising with xi_1gamma and P2 rising and then falling
-with xi_2gamma, as measured (up to rounding) for N from 1 to 1000.
+(_KappaScan._min_kappas): for 'exact' a round is one kernel call.
+'exact_free' first solves, once per N, for the thresholds of the paper's
+feasibility question at finite N: the largest xi_1gamma with P1 <= P and
+the smallest xi_2gamma past the peak of P2 with P2 <= P (and, for
+P >= P2(0), the largest before it; see _Window).  A kappa step is then the
+arithmetic test whether some scale puts both balanced rates inside them,
+so the bisection visits the same kappa as an evaluating search would, with
+no kernel call.  The thresholds rest on P1 rising with xi_1gamma and P2
+rising and then falling with xi_2gamma, as measured (up to rounding) for N
+from 1 to 1000.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -36,7 +37,6 @@ import numpy as np
 from . import absorber, gate
 from .numerics import bisect, golden_minimize
 
-SQRT2 = math.sqrt(2.0)
 KAPPA_TOL = 1e-3   # relative bisection width in kappa
 SCALE_TOL = 1e-6   # bisection width in log absorber scale
 
@@ -64,7 +64,8 @@ class DesignPoint:
 
     The absorber rates are the balanced rates at kappa (gate.optimal_rates)
     times scale, which is 1 for the 'exact' model; they and the per-segment
-    probabilities are recomputed on access, so a point stores seven numbers.
+    intensity absorption 1 - exp(-2*xi) of each rate are recomputed on
+    access, so a point stores seven numbers.
     """
 
     p_target: float
@@ -81,11 +82,11 @@ class DesignPoint:
 
     @property
     def p2_segment(self) -> float:
-        return segment_probabilities(self.segments, self.kappa)[0]
+        return 1.0 - math.exp(-2.0 * self.rates.two_photon)
 
     @property
     def p1_segment(self) -> float:
-        return segment_probabilities(self.segments, self.kappa)[1]
+        return 1.0 - math.exp(-2.0 * self.rates.one_photon)
 
 
 def _design_rates(segments: int, kappa: float, scale: float) -> gate.AbsorberRates:
@@ -270,71 +271,6 @@ def _windows(segments: list[int], p_target: float, kappa_max: float) -> list[_Wi
 _ERROR_MODELS = ("exact", "exact_free", "leading")
 
 
-def _feasible(geoms: list, kappas: list, p_target: float, error_model: str,
-              windows: dict) -> list[bool]:
-    """Whether each kappa reaches p_target at its geometry.
-
-    'exact' evaluates the balanced rates of all of them in one kernel call:
-    the scalar exact_errors for one, exact_errors_batch for more.
-    'exact_free' tests the _Window of each N in windows; 'leading' tests its
-    closed form.
-    """
-    if error_model == "exact":
-        rates = [_balanced(g, k) for g, k in zip(geoms, kappas)]
-        if len(geoms) == 1:
-            return [max(gate.exact_errors(geoms[0], gate.AbsorberRates(*rates[0]))) <= p_target]
-        p1, p2 = gate.exact_errors_batch(geoms, *zip(*rates))
-        return (np.maximum(p1, p2) <= p_target).tolist()
-    if error_model == "exact_free":
-        return [windows[g.segments].feasible(g, k) for g, k in zip(geoms, kappas)]
-    # the leading-order truncations N*xi_1gamma/2 and pi^2/(N*xi_2gamma)
-    # cross at pi/sqrt(2*kappa) for every N, the least max over the scale
-    return [gate.overall_error(k) <= p_target for k in kappas]
-
-
-def _check_search(p_target: float, error_model: str) -> None:
-    if not 0.0 < p_target < 1.0:
-        raise ValueError("p_target must lie in (0, 1)")
-    if error_model not in _ERROR_MODELS:
-        raise ValueError("error_model must be 'exact', 'exact_free' or 'leading'")
-
-
-def _min_kappas(segments: list[int], p_target: float, error_model: str,
-                config: SearchConfig, at_max: dict, windows: dict) -> list:
-    """min_kappa at every N in segments, or its InfeasibleDesignError.
-
-    Each N is a log-bisection on [1, kappa_max] down to a relative width of
-    KAPPA_TOL.  Every round tests the next kappa of every unfinished N
-    together: kappa_max, unless at_max (N -> whether kappa_max reaches the
-    target) already holds it, then 1, then the geometric middle of the
-    bracket.  windows holds each N's _Window ('exact_free' only).
-    """
-    geoms = {n: gate.GateGeometry(3, n) for n in segments}
-    at_max, found = dict(at_max), {}
-    lo, hi = dict.fromkeys(segments, 1.0), dict.fromkeys(segments, config.kappa_max)
-    nxt = {n: 1.0 if n in at_max else config.kappa_max for n in segments if at_max.get(n, True)}
-    while nxt:
-        ok = _feasible([geoms[n] for n in nxt], list(nxt.values()), p_target, error_model, windows)
-        tested, nxt = nxt, {}
-        for (n, kappa), good in zip(tested.items(), ok):
-            if n not in at_max:   # kappa_max: where it fails, N is infeasible
-                at_max[n] = good
-                if good:
-                    nxt[n] = 1.0
-                continue
-            if good:   # at kappa = 1 this closes the bracket at 1
-                hi[n] = kappa
-            else:
-                lo[n] = kappa
-            if hi[n] / lo[n] > 1.0 + KAPPA_TOL:
-                nxt[n] = math.sqrt(lo[n] * hi[n])
-            else:
-                found[n] = hi[n]
-    return [found[n] if n in found else InfeasibleDesignError(
-        f"no kappa <= {config.kappa_max:g} reaches P <= {p_target} at N = {n}")
-        for n in segments]
-
-
 def min_kappa(
     segments: int,
     p_target: float,
@@ -344,20 +280,6 @@ def min_kappa(
     """Minimal kappa reaching the target error at fixed N: a log-bisection
     on [1, kappa_max] down to a relative width of KAPPA_TOL."""
     return _KappaScan(p_target, error_model, config).kappa(segments)
-
-
-def segment_probabilities(segments: int, kappa: float) -> tuple[float, float]:
-    """Per-segment intensity absorption (P2_seg, P1_seg) at the balanced rates.
-
-    P2_seg = 1 - exp(-2*sqrt(kappa)*sqrt(2)*pi/N) and
-    P1_seg = 1 - exp(-2*sqrt(2)*pi/(sqrt(kappa)*N)) for the three-branch gate.
-    """
-    gate._check_segments(segments)
-    if not kappa > 0.0:  # NaN fails; kappa = inf: perfect absorber
-        raise ValueError("kappa must be > 0")
-    x2 = math.sqrt(kappa) * SQRT2 * math.pi / segments
-    x1 = SQRT2 * math.pi / (math.sqrt(kappa) * segments)
-    return 1.0 - math.exp(-2.0 * x2), 1.0 - math.exp(-2.0 * x1)
 
 
 def required_enhancement(kappa_target: float, spec: absorber.AtomSpec) -> int:
@@ -383,23 +305,7 @@ def design_point(
     error_model: str = "exact",
 ) -> DesignPoint:
     """Search kappa at fixed N and assemble the certified design point."""
-    return _certify(_KappaScan(p_target, error_model, SearchConfig()), segments, spec)
-
-
-def _certify(scan, segments: int, spec: absorber.AtomSpec | None = None) -> DesignPoint:
-    """Design point at N = segments and the scan's min_kappa there."""
-    if scan.error_model not in ("exact", "exact_free"):
-        raise ValueError("design points are certified with exact errors only")
-    kappa = scan.kappa(segments)
-    scale = 1.0
-    if scan.error_model == "exact_free":
-        error, scale = minimized_max_error(segments, kappa)
-        if error > scan.p_target:   # a window narrower than that bisection resolves
-            scale = scan.windows[segments].scale(gate.GateGeometry(3, segments), kappa)
-    rates = _design_rates(segments, kappa, scale)
-    p1, p2 = gate.exact_errors(gate.GateGeometry(3, segments), rates)
-    enh = required_enhancement(kappa, spec) if spec is not None else None
-    return DesignPoint(scan.p_target, segments, kappa, scale, p1, p2, enh)
+    return _KappaScan(p_target, error_model, SearchConfig()).certify(segments, spec)
 
 
 # N searched side by side when a scan needs a new N.  Measured on the design
@@ -409,7 +315,7 @@ _SCAN_CHUNK = 16
 
 
 class _KappaScan:
-    """Feasibility and min_kappa(N) of one design search, kept once found;
+    """One design search: feasibility and min_kappa(N), kept once found;
     min_kappa and design_point use it for their one N.
 
     A scan step that misses N searches it together with the next
@@ -419,7 +325,10 @@ class _KappaScan:
     """
 
     def __init__(self, p_target: float, error_model: str, config: SearchConfig):
-        _check_search(p_target, error_model)
+        if not 0.0 < p_target < 1.0:
+            raise ValueError("p_target must lie in (0, 1)")
+        if error_model not in _ERROR_MODELS:
+            raise ValueError("error_model must be 'exact', 'exact_free' or 'leading'")
         self.p_target, self.error_model, self.config = p_target, error_model, config
         self.at_max = {}   # N -> whether kappa_max reaches the target
         self.found = {}    # N -> min_kappa, or its InfeasibleDesignError
@@ -436,13 +345,67 @@ class _KappaScan:
             self.windows.update(zip(new, _windows(new, self.p_target, self.config.kappa_max)))
         return chunk
 
+    def _feasible(self, geoms: list, kappas: list) -> list[bool]:
+        """Whether each kappa reaches p_target at its geometry.
+
+        'exact' evaluates the balanced rates of all of them in one kernel
+        call: the scalar exact_errors for one, exact_errors_batch for more.
+        'exact_free' tests the _Window of each N; 'leading' tests its closed
+        form.
+        """
+        if self.error_model == "exact":
+            rates = [_balanced(g, k) for g, k in zip(geoms, kappas)]
+            if len(geoms) == 1:
+                p1, p2 = gate.exact_errors(geoms[0], gate.AbsorberRates(*rates[0]))
+                return [max(p1, p2) <= self.p_target]
+            p1, p2 = gate.exact_errors_batch(geoms, *zip(*rates))
+            return (np.maximum(p1, p2) <= self.p_target).tolist()
+        if self.error_model == "exact_free":
+            return [self.windows[g.segments].feasible(g, k) for g, k in zip(geoms, kappas)]
+        # the leading-order truncations N*xi_1gamma/2 and pi^2/(N*xi_2gamma)
+        # cross at pi/sqrt(2*kappa) for every N, the least max over the scale
+        return [gate.overall_error(k) <= self.p_target for k in kappas]
+
+    def _min_kappas(self, segments: list[int]) -> list:
+        """min_kappa at every N in segments, or its InfeasibleDesignError.
+
+        Each N is a log-bisection on [1, kappa_max] down to a relative width
+        of KAPPA_TOL.  Every round tests the next kappa of every unfinished
+        N together: kappa_max, unless at_max already holds it, then 1, then
+        the geometric middle of the bracket.
+        """
+        kappa_max, at_max = self.config.kappa_max, self.at_max
+        geoms = {n: gate.GateGeometry(3, n) for n in segments}
+        found = {}
+        lo, hi = dict.fromkeys(segments, 1.0), dict.fromkeys(segments, kappa_max)
+        nxt = {n: 1.0 if n in at_max else kappa_max for n in segments if at_max.get(n, True)}
+        while nxt:
+            ok = self._feasible([geoms[n] for n in nxt], list(nxt.values()))
+            tested, nxt = nxt, {}
+            for (n, kappa), good in zip(tested.items(), ok):
+                if n not in at_max:   # kappa_max: where it fails, N is infeasible
+                    at_max[n] = good
+                    if good:
+                        nxt[n] = 1.0
+                    continue
+                if good:   # at kappa = 1 this closes the bracket at 1
+                    hi[n] = kappa
+                else:
+                    lo[n] = kappa
+                if hi[n] / lo[n] > 1.0 + KAPPA_TOL:
+                    nxt[n] = math.sqrt(lo[n] * hi[n])
+                else:
+                    found[n] = hi[n]
+        return [found[n] if n in found else InfeasibleDesignError(
+            f"no kappa <= {kappa_max:g} reaches P <= {self.p_target} at N = {n}")
+            for n in segments]
+
     def feasible(self, n: int) -> bool:
         """Whether some kappa <= kappa_max reaches the target at N = n."""
         if n not in self.at_max:
             chunk = self._chunk(n, self.at_max, _SCAN_CHUNK)
-            ok = _feasible([gate.GateGeometry(3, m) for m in chunk],
-                           [self.config.kappa_max] * len(chunk),
-                           self.p_target, self.error_model, self.windows)
+            ok = self._feasible([gate.GateGeometry(3, m) for m in chunk],
+                                [self.config.kappa_max] * len(chunk))
             self.at_max.update(zip(chunk, ok))
         return self.at_max[n]
 
@@ -451,23 +414,36 @@ class _KappaScan:
         raises its InfeasibleDesignError."""
         if n not in self.found:
             chunk = self._chunk(n, self.found, size)
-            self.found.update(zip(chunk, _min_kappas(chunk, self.p_target, self.error_model,
-                                                     self.config, self.at_max, self.windows)))
+            self.found.update(zip(chunk, self._min_kappas(chunk)))
         kappa = self.found[n]
         if isinstance(kappa, InfeasibleDesignError):
             raise kappa
         return kappa
 
+    def smallest_feasible_n(self) -> int:
+        # min_kappa(N) raises exactly when kappa_max does not reach the target
+        config = self.config
+        for n in range(1, config.n_max + 1):
+            if self.feasible(n):
+                return n
+        raise InfeasibleDesignError(
+            f"no N <= {config.n_max} is feasible with kappa <= {config.kappa_max:g}"
+        )
 
-def _smallest_feasible_n(scan: _KappaScan) -> int:
-    # min_kappa(N) raises exactly when kappa_max does not reach the target
-    config = scan.config
-    for n in range(1, config.n_max + 1):
-        if scan.feasible(n):
-            return n
-    raise InfeasibleDesignError(
-        f"no N <= {config.n_max} is feasible with kappa <= {config.kappa_max:g}"
-    )
+    def certify(self, segments: int, spec: absorber.AtomSpec | None = None) -> DesignPoint:
+        """Design point at N = segments and the scan's min_kappa there."""
+        if self.error_model not in ("exact", "exact_free"):
+            raise ValueError("design points are certified with exact errors only")
+        kappa = self.kappa(segments)
+        geometry = gate.GateGeometry(3, segments)
+        scale = 1.0
+        if self.error_model == "exact_free":
+            error, scale = minimized_max_error(segments, kappa)
+            if error > self.p_target:   # a window narrower than that bisection resolves
+                scale = self.windows[segments].scale(geometry, kappa)
+        p1, p2 = gate.exact_errors(geometry, _design_rates(segments, kappa, scale))
+        enh = required_enhancement(kappa, spec) if spec is not None else None
+        return DesignPoint(self.p_target, segments, kappa, scale, p1, p2, enh)
 
 
 def search_feasible_nk(
@@ -494,7 +470,7 @@ def search_feasible_nk(
     """
     strategies = [strategy] if strategy else ["min_n", "balanced", "min_kappa"]
     scan = _KappaScan(p_target, error_model, config)
-    n_min = _smallest_feasible_n(scan)
+    n_min = scan.smallest_feasible_n()
     points = []
     for strat in strategies:
         if strat == "min_n":
@@ -522,7 +498,7 @@ def search_feasible_nk(
             n = best
         else:
             raise ValueError("strategy must be 'min_n', 'balanced' or 'min_kappa'")
-        points.append(_certify(scan, n))
+        points.append(scan.certify(n))
     return points
 
 
@@ -537,12 +513,16 @@ TABLE_ANCHORS: dict[float, tuple[int, int, int]] = {
 
 @dataclass(frozen=True)
 class TableSet:
-    """Feasibility table plus the three per-strategy detail tables."""
+    """The three per-strategy detail tables, one point per error budget."""
 
-    feasibility: list[DesignPoint] = field(default_factory=list)   # all nine points
-    small_n: list[DesignPoint] = field(default_factory=list)
-    balanced: list[DesignPoint] = field(default_factory=list)
-    small_kappa: list[DesignPoint] = field(default_factory=list)
+    small_n: list[DesignPoint]
+    balanced: list[DesignPoint]
+    small_kappa: list[DesignPoint]
+
+    @property
+    def feasibility(self) -> list[DesignPoint]:
+        """All nine points, budget by budget: small N, balanced, small kappa."""
+        return [pt for row in zip(self.small_n, self.balanced, self.small_kappa) for pt in row]
 
 
 def generate_tables(spec: absorber.AtomSpec | None = None) -> TableSet:
@@ -555,19 +535,9 @@ def generate_tables(spec: absorber.AtomSpec | None = None) -> TableSet:
     """
     if spec is None:
         spec = absorber.optical_example()
-    columns = {0: [], 1: [], 2: []}
-    flat = []
-    for p_target in sorted(TABLE_ANCHORS, reverse=True):
-        for col, n in enumerate(TABLE_ANCHORS[p_target]):
-            pt = design_point(p_target, n, spec)
-            columns[col].append(pt)
-            flat.append(pt)
-    return TableSet(
-        feasibility=flat,
-        small_n=columns[0],
-        balanced=columns[1],
-        small_kappa=columns[2],
-    )
+    rows = [[design_point(p_target, n, spec) for n in TABLE_ANCHORS[p_target]]
+            for p_target in sorted(TABLE_ANCHORS, reverse=True)]
+    return TableSet(*map(list, zip(*rows)))
 
 
 class CurvePoint(NamedTuple):

@@ -124,6 +124,13 @@ class TestNonFiniteInput:
         (("enhance", "--mechanism", "pump", "--intensity", "-1"), "intensity"),
         (("enhance", "--mechanism", "random_phase", "--S", "-1"), "S"),
         (("enhance", "--mechanism", "random_phase", "--box", "-5"), "box"),
+        # excited fraction s/S above 1 (inf and 1514.8 were printed)
+        (("enhance", "--mechanism", "pump", "--intensity", "1e300"), "intensity"),
+        (("enhance", "--mechanism", "pump", "--intensity", "1e14"), "intensity"),
+        # (lambda/2)^2 underflows to a zero diffraction-limited beam area
+        (("absorber", "--wavelength", "1e-300"), "wavelength"),
+        (("tables", "--wavelength", "1e-300"), "wavelength"),
+        (("enhance", "--mechanism", "pump", "--wavelength", "1e-300"), "wavelength"),
     ])
     def test_rejected_with_exit_code_2(self, capsys, argv, word):
         code, out, err = run_cli(capsys, *argv)

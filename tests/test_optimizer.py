@@ -20,7 +20,6 @@ from zenogate.optimizer import (
     minimized_max_error,
     required_enhancement,
     search_feasible_nk,
-    segment_probabilities,
 )
 
 # reference design points: (p_target, segments) -> published kappa
@@ -208,12 +207,13 @@ def ref_search(p, strategy, model, config):
 
 
 def lockstep_kappas(segments, p, model, config):
-    """min_kappa of every N in segments from one _min_kappas run; for
-    'exact_free' the windows of all of them come from one threshold solve."""
-    windows = {}
+    """min_kappa of every N in segments from one _min_kappas run of a fresh
+    scan; for 'exact_free' the windows of all of them come from one
+    threshold solve."""
+    scan = optimizer._KappaScan(p, model, config)
     if model == "exact_free":
-        windows = dict(zip(segments, optimizer._windows(segments, p, config.kappa_max)))
-    return optimizer._min_kappas(segments, p, model, config, {}, windows)
+        scan.windows.update(zip(segments, optimizer._windows(segments, p, config.kappa_max)))
+    return scan._min_kappas(segments)
 
 
 class TestLockstepSearch:
@@ -464,30 +464,42 @@ class TestThresholds:
 
 
 class TestSegmentProbabilities:
+    @staticmethod
+    def segment(segments, kappa):
+        # the per-segment absorption at the balanced rates (scale 1)
+        pt = DesignPoint(0.5, segments, kappa, 1.0, 0.0, 0.0)
+        return pt.p2_segment, pt.p1_segment
+
     def test_reference_rows(self):
-        p2, p1 = segment_probabilities(8, 22.0)
+        p2, p1 = self.segment(8, 22.0)
         assert p2 == pytest.approx(0.99454, abs=5e-5)
         assert p1 == pytest.approx(0.21086, abs=5e-5)
-        p2, p1 = segment_probabilities(160, 440.0)
+        p2, p1 = self.segment(160, 440.0)
         assert p2 == pytest.approx(0.688, abs=1e-3)
         assert p1 == pytest.approx(0.00265, abs=5e-5)
 
     def test_strong_absorber_limits(self):
-        p2, p1 = segment_probabilities(10, 1e12)
+        p2, p1 = self.segment(10, 1e12)
         assert p2 == pytest.approx(1.0, abs=1e-12)
         assert p1 == pytest.approx(0.0, abs=1e-6)
 
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            segment_probabilities(0, 10.0)
-        with pytest.raises(ValueError):
-            segment_probabilities(10, 0.0)
-
-    def test_rejects_nan_and_keeps_the_infinite_limit(self):
-        for segments, kappa in ((10, math.nan), (math.nan, 10.0), (2.5, 10.0), (5.0, 10.0)):
-            with pytest.raises(ValueError):
-                segment_probabilities(segments, kappa)
-        assert segment_probabilities(10, math.inf) == (1.0, 0.0)
+    def test_exact_free_points_use_their_scaled_rates(self):
+        # P1_seg = 1 - exp(-2*xi_1gamma) and P2_seg = 1 - exp(-2*xi_2gamma)
+        # of the point's own rates, the balanced ones times its scale
+        scales = []
+        for p in (0.5, 0.25, 0.1):
+            for pt in search_feasible_nk(p, error_model="exact_free",
+                                         config=SearchConfig(n_max=60)):
+                assert pt.p1_segment == 1.0 - math.exp(-2.0 * pt.rates.one_photon)
+                assert pt.p2_segment == 1.0 - math.exp(-2.0 * pt.rates.two_photon)
+                scales.append(pt.scale)
+        assert max(scales) > 1.3
+        # P = 0.25, N = 18: scale 1.333, so P1_seg 0.0585, not the 0.0442
+        # of the unscaled balanced rates
+        pt = search_feasible_nk(0.25, "min_n", "exact_free", SearchConfig(n_max=60))[0]
+        assert pt.segments == 18
+        assert pt.scale == pytest.approx(1.3332, abs=1e-4)
+        assert pt.p1_segment == pytest.approx(0.0585, abs=5e-5)
 
 
 class TestRequiredEnhancement:
@@ -533,7 +545,6 @@ class TestDesignPointsAndSearch:
                 assert pt.scale == 1.0 and pt.rates == rates
             assert pt.rates == gate.AbsorberRates(pt.scale * rates.one_photon,
                                                   pt.scale * rates.two_photon)
-            assert (pt.p2_segment, pt.p1_segment) == segment_probabilities(pt.segments, pt.kappa)
             assert (pt.p1_exact, pt.p2_exact) == gate.exact_errors(
                 gate.GateGeometry(3, pt.segments), pt.rates)
 

@@ -130,3 +130,6 @@ def test_cli_exits_cleanly_with_probabilities_in_range(argv):
                     # within the benchmark's tolerance of [0, 1]
                     assert math.isfinite(row[name]) and -1e-9 <= row[name] <= 1.0 + 1e-9, \
                         (name, row[name])
+            if "s_over_S" in row:   # the pumped excited fraction, a number in [0, 1]
+                s = row["s_over_S"]
+                assert isinstance(s, float) and math.isfinite(s) and 0.0 <= s <= 1.0, s
