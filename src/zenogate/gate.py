@@ -16,7 +16,8 @@ opposite branch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,11 +41,14 @@ def default_angle(branches: int, segments: int) -> float:
 
 @dataclass(frozen=True)
 class GateGeometry:
-    """Branch count, segment count N and beam-splitter angle epsilon."""
+    """Branch count, segment count N and beam-splitter angle epsilon; cos
+    and sin of the angle are kept for the kernels, out of ==, hash and repr."""
 
     branches: int
     segments: int
     angle: float | None = None
+    cos: float = field(init=False, repr=False, compare=False)
+    sin: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.branches not in (2, 3):
@@ -58,6 +62,8 @@ class GateGeometry:
         # is widened to (0, pi); the matrix algebra is valid throughout.
         if not 0.0 < self.angle < math.pi:
             raise ValueError("beam-splitter angle must lie in (0, pi)")
+        object.__setattr__(self, "cos", math.cos(self.angle))
+        object.__setattr__(self, "sin", math.sin(self.angle))
 
 
 @dataclass(frozen=True)
@@ -68,13 +74,10 @@ class AbsorberRates:
     two_photon: float
 
     def __post_init__(self):
-        for name in ("one_photon", "two_photon"):
-            if not getattr(self, name) >= 0.0:  # also rejects NaN
-                raise ValueError(f"{name} decay exponent must be >= 0")
-
-    @property
-    def kappa(self) -> float:
-        return self.two_photon / self.one_photon
+        if not self.one_photon >= 0.0:  # also rejects NaN
+            raise ValueError("one_photon decay exponent must be >= 0")
+        if not self.two_photon >= 0.0:
+            raise ValueError("two_photon decay exponent must be >= 0")
 
 
 def _transmission(decay):
@@ -82,13 +85,13 @@ def _transmission(decay):
     xi = np.asarray(decay, dtype=float)
     if xi.ndim > 1:
         raise ValueError("decay must be a scalar or a 1-D array")
-    x = xi.tolist()  # a float, or a list of floats
-    if not (xi.min(initial=math.inf) if xi.ndim else x) >= 0.0:  # NaN fails too
+    x = (-xi).tolist()  # -xi as a float, or a list of floats
+    if not (xi.min(initial=math.inf) if xi.ndim else -x) >= 0.0:  # NaN fails too
         raise ValueError("decay exponent must be >= 0")
     # math.exp also for arrays: np.exp differs from it in the last bit for
     # some inputs, N segments amplify that N-fold, and a batch must agree
     # with single calls.  exp(-inf) == 0.0, no overflow involved.
-    return np.array([math.exp(-v) for v in x]) if xi.ndim else math.exp(-x)
+    return np.fromiter(map(math.exp, x), float, len(x)) if xi.ndim else math.exp(x)
 
 
 def _entries(branches: int, c, s, e) -> tuple:
@@ -122,11 +125,14 @@ _PAIR_INDEX = {
     k: [(b * k + j // k) * 2 * k + b * k + j % k for b in (0, 1) for j in range(k * k)]
     for k in (2, 3)
 }
+# the (2k, 2k) pair as packed rows of doubles; 8 zero pad bytes are +0.0
+_PAIR_STRUCT = {k: struct.Struct(f"{k}d{8 * k}x" * k + f"{8 * k}x{k}d" * k) for k in (2, 3)}
 
 
 def _pairs(branches: int, c, s, e1, e2) -> np.ndarray:
-    """Block pair [[segment(e1), 0], [0, segment(e2)]], written into one zero
-    array: floats give one (2k, 2k) matrix, arrays a (B, 2k, 2k) stack.
+    """Block pair [[segment(e1), 0], [0, segment(e2)]]: floats give one
+    read-only (2k, 2k) matrix, packed in one step, arrays a (B, 2k, 2k)
+    stack, written into one zero array.
 
     Powers of a block-diagonal matrix are block-diagonal with the powers of
     the blocks, so one power gives both the one- and the two-photon gate.
@@ -137,13 +143,11 @@ def _pairs(branches: int, c, s, e1, e2) -> np.ndarray:
     does with OpenBLAS; the tests check it).
     """
     entries = _entries(branches, c, s, e1) + _entries(branches, c, s, e2)
-    size, index = 2 * branches, _PAIR_INDEX[branches]
+    size = 2 * branches
     if isinstance(e1, float):
-        m = np.zeros(size * size)
-        m[index] = entries
-        return m.reshape(size, size)
+        return np.ndarray((size, size), buffer=_PAIR_STRUCT[branches].pack(*entries))
     m = np.zeros((len(e1), size * size))
-    for j, entry in zip(index, entries):
+    for j, entry in zip(_PAIR_INDEX[branches], entries):
         m[:, j] = entry
     return m.reshape(len(e1), size, size)
 
@@ -155,8 +159,7 @@ def segment_matrix(geometry: GateGeometry, decay) -> np.ndarray:
     accepted and maps to transmission exp(-xi) = 0 exactly.  A scalar decay
     gives one real (k, k) matrix, a 1-D array of B decays a (B, k, k) stack.
     """
-    c, s = math.cos(geometry.angle), math.sin(geometry.angle)
-    return _segments(geometry.branches, c, s, _transmission(decay))
+    return _segments(geometry.branches, geometry.cos, geometry.sin, _transmission(decay))
 
 
 def gate_matrix(geometry: GateGeometry, decay) -> np.ndarray:
@@ -176,8 +179,8 @@ def exact_errors(geometry: GateGeometry, rates: AbsorberRates) -> tuple[float, f
     # AbsorberRates has checked the decays; one power of the block pair
     # gives the gate with and without the control photon
     k = geometry.branches
-    c, s = math.cos(geometry.angle), math.sin(geometry.angle)
-    pair = _pairs(k, c, s, math.exp(-rates.one_photon), math.exp(-rates.two_photon))
+    pair = _pairs(k, geometry.cos, geometry.sin,
+                  math.exp(-rates.one_photon), math.exp(-rates.two_photon))
     m = _power_one(pair, geometry.segments)
     # the matrices are real, so |amplitude|^2 is a plain square; the target
     # should leave on the last branch.  a * a, not a ** 2: on a NumPy float
@@ -206,7 +209,7 @@ def exact_errors_batch(geometry, one_photon, two_photon) -> tuple[np.ndarray, np
         raise ValueError("decay exponents must not be empty")
     if isinstance(geometry, GateGeometry):
         # every element has the same N and angle: one cosine and sine
-        k, c, s = geometry.branches, math.cos(geometry.angle), math.sin(geometry.angle)
+        k, c, s = geometry.branches, geometry.cos, geometry.sin
         top = geometry.segments
         each = np.array([top])
     else:
@@ -214,8 +217,8 @@ def exact_errors_batch(geometry, one_photon, two_photon) -> tuple[np.ndarray, np
         if len(geoms) != b or any(g.branches != geoms[0].branches for g in geoms):
             raise ValueError("give one geometry per element, all with the same branch count")
         k = geoms[0].branches
-        c = np.array([math.cos(g.angle) for g in geoms])
-        s = np.array([math.sin(g.angle) for g in geoms])
+        c = np.array([g.cos for g in geoms])
+        s = np.array([g.sin for g in geoms])
         each = np.array([g.segments for g in geoms])
         top = int(each.max())
     # P1 and P2 of element i as the two blocks of pair i

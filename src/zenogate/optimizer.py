@@ -557,21 +557,25 @@ def error_curve(
 ) -> list[CurvePoint]:
     """Sweep the absorber scale at fixed kappa; exact and leading-order errors.
 
-    xi_2gamma runs linearly over [0, xi2_max] with xi_1gamma = xi_2gamma/kappa.
-    The leading-order truncations are clipped to [0, 1] (the two-photon one
+    xi_2gamma runs linearly over [0, xi2_max], point i at exactly
+    xi2_max * i / (samples - 1), with xi_1gamma = xi_2gamma/kappa.  The
+    leading-order truncations are clipped to [0, 1] (the two-photon one
     diverges at zero absorber scale where the exact error tends to 1).
     """
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
+    if not isinstance(samples, (int, np.integer)) or samples < 2:
+        raise ValueError("samples must be an integer >= 2")
     if not kappa > 0.0:  # also rejects NaN
         raise ValueError("kappa must be positive")
+    if not 0.0 <= xi2_max < math.inf:  # also rejects NaN
+        raise ValueError("xi2_max must be finite and >= 0")
     geom = gate.GateGeometry(branches, segments)
-    xi2 = [xi2_max * i / (samples - 1) for i in range(samples)]
-    x1, x2 = np.array([v / kappa for v in xi2]), np.array(xi2)
+    # elementwise, each product and quotient rounds as the scalar one does
+    x2 = xi2_max * np.arange(samples, dtype=float) / (samples - 1)
+    x1 = x2 / kappa
     p1, p2 = gate.exact_errors_batch(geom, x1, x2)
     a1, a2 = gate.leading_errors(geom, x1, x2)
-    columns = (p1, p2, np.minimum(a1, 1.0), np.minimum(a2, 1.0))
-    return list(map(CurvePoint._make, zip(xi2, *(col.tolist() for col in columns))))
+    columns = (x2, p1, p2, np.minimum(a1, 1.0), np.minimum(a2, 1.0))
+    return list(map(CurvePoint._make, zip(*(col.tolist() for col in columns))))
 
 
 def exact_crossing(kappa: float, segments: int, branches: int = 2) -> tuple[float, float]:

@@ -1,5 +1,6 @@
 """Gate transfer-matrix tests: segments, propagation, closed form, errors."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -98,6 +99,21 @@ class TestSegmentMatrix:
         assert geom == GateGeometry(3, 5) and type(geom.segments) is int
         rates = AbsorberRates(0.01, 1.0)
         assert exact_errors(geom, rates) == exact_errors(GateGeometry(3, 5), rates)
+
+    def test_cached_cos_sin_follow_the_angle(self):
+        geom = GateGeometry(3, 10)
+        assert (geom.cos, geom.sin) == (math.cos(geom.angle), math.sin(geom.angle))
+        for angle in (0.05, 1.0, geom.angle):
+            moved = dataclasses.replace(geom, angle=angle)
+            assert (moved.cos, moved.sin) == (math.cos(angle), math.sin(angle))
+        # derived fields: not constructor arguments, and out of ==, hash and repr
+        with pytest.raises(TypeError):
+            GateGeometry(3, 10, None, 1.0, 0.0)
+        twin = GateGeometry(3, 10, angle=0.3)
+        object.__setattr__(twin, "cos", 0.0)
+        assert twin == GateGeometry(3, 10, angle=0.3)
+        assert hash(twin) == hash(GateGeometry(3, 10, angle=0.3))
+        assert repr(twin) == "GateGeometry(branches=3, segments=10, angle=0.3)"
 
 
 class TestPropagate:
@@ -253,8 +269,9 @@ class TestExactErrors:
                 assert abs((1.0 - m2[2, 2] ** 2) - p2) <= 1e-12
 
     def test_nan_rates_rejected(self):
-        for args in ((math.nan, 1.0), (0.1, math.nan)):
-            with pytest.raises(ValueError):
+        for args, name in (((math.nan, 1.0), "one_photon"), ((0.1, math.nan), "two_photon"),
+                           ((-1.0, 1.0), "one_photon"), ((0.1, -math.inf), "two_photon")):
+            with pytest.raises(ValueError, match=f"^{name} decay exponent must be >= 0$"):
                 AbsorberRates(*args)
 
     def test_mirrored_segment_oracle(self):
@@ -376,16 +393,27 @@ class TestBlockPairs:
         assert not m[..., :k, k:].any() and not m[..., k:, :k].any()
 
     def test_scalar_pair(self):
+        # default and explicit angles; the decays run up to xi = inf
+        # (transmission 0) and N down to 1
         for branches in (2, 3):
             for n in self.SEGMENTS:
-                geom = GateGeometry(branches, n)
-                c, s = math.cos(geom.angle), math.sin(geom.angle)
-                for x1, x2 in zip(self.DECAYS, self.DECAYS[::-1]):
-                    pair = gate._pairs(branches, c, s, math.exp(-x1), math.exp(-x2))
-                    m = _power_one(pair, n)
-                    assert m.shape == (2 * branches, 2 * branches)
-                    self.check_blocks(m, branches, mat_power(segment_matrix(geom, x1), n),
-                                      mat_power(segment_matrix(geom, x2), n))
+                for angle in (None, 0.05, 1.0):
+                    geom = GateGeometry(branches, n, angle=angle)
+                    c, s = math.cos(geom.angle), math.sin(geom.angle)
+                    for x1, x2 in zip(self.DECAYS, self.DECAYS[::-1]):
+                        pair = gate._pairs(branches, c, s, math.exp(-x1), math.exp(-x2))
+                        # the one-step build holds the segments' entries bit
+                        # for bit, signed zeros included, and +0.0 elsewhere
+                        ref = np.zeros((2 * branches, 2 * branches))
+                        ref[:branches, :branches] = segment_matrix(geom, x1)
+                        ref[branches:, branches:] = segment_matrix(geom, x2)
+                        assert pair.tobytes() == ref.tobytes()
+                        m = _power_one(pair, n)
+                        assert m.shape == (2 * branches, 2 * branches)
+                        self.check_blocks(m, branches, mat_power(segment_matrix(geom, x1), n),
+                                          mat_power(segment_matrix(geom, x2), n))
+                        # N = 1 too returns a writable array of its own
+                        assert m.flags.writeable and not np.shares_memory(m, pair)
 
     def test_stacked_pairs(self):
         x1, x2 = np.array(self.DECAYS), np.array(self.DECAYS[::-1])

@@ -531,7 +531,7 @@ class TestDesignPointsAndSearch:
     def test_design_point_is_certified(self):
         pt = design_point(0.25, 25, optical_example())
         assert max(pt.p1_exact, pt.p2_exact) <= 0.25
-        assert pt.rates.kappa == pytest.approx(pt.kappa, rel=1e-12)
+        assert pt.rates.two_photon / pt.rates.one_photon == pytest.approx(pt.kappa, rel=1e-12)
         assert pt.enhancement >= 1
 
     @pytest.mark.parametrize("model", ["exact", "exact_free"])
@@ -621,6 +621,26 @@ class TestErrorCurve:
         for kappa in (0.0, -5.0, math.nan):
             with pytest.raises(ValueError):
                 error_curve(kappa, 100)
+
+    @pytest.mark.parametrize("samples", [1, 0, 2.5, 141.0])
+    def test_samples_must_be_an_integer_of_at_least_two(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            error_curve(1e3, 100, 0.14, samples)
+
+    @pytest.mark.parametrize("xi2_max", [math.inf, -0.1, math.nan])
+    def test_xi2_max_must_be_finite_and_non_negative(self, xi2_max):
+        # an infinite xi2_max would put 0 * inf = NaN at the first sample
+        with pytest.raises(ValueError, match="xi2_max"):
+            error_curve(1e3, 100, xi2_max)
+
+    @pytest.mark.parametrize("samples", [2, 3, 141, 2000])
+    def test_abscissae_are_the_scalar_expression_exactly(self, samples):
+        for xi2_max in (0.14, 0.5, 5.0, 1.0 / 3.0):
+            points = error_curve(1e3, 100, xi2_max, samples, branches=3)
+            assert len(points) == samples
+            for i, pt in enumerate(points):
+                assert type(pt.xi_2gamma) is float
+                assert pt.xi_2gamma == xi2_max * i / (samples - 1)
 
     def test_leading_columns_equal_clipped_asymptotic_errors(self):
         for kappa, n, xi2_max, samples, branches in ((1e3, 1000, 0.14, 141, 2),
